@@ -1,7 +1,7 @@
 // C5 — Sharded multi-group consensus: throughput scaling in the group count.
 //
 // One process hosts M consensus groups behind a single fabric endpoint and
-// a single shared Omega (shard/BasicShardedReplica). Each group runs the
+// a single shared Omega (rsm/replica.h). Each group runs the
 // paper's leader-driven protocol unchanged, with a bounded proposer pipeline
 // (max_inflight), so per-group throughput is window-limited — and aggregate
 // throughput should scale near-linearly in M while the per-decision message

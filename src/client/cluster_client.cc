@@ -127,17 +127,32 @@ void ClusterClient::flush_sends(Runtime& rt) {
       note_attempt(rt, f);
       continue;
     }
+    // Frames are capped at kMaxFramePayload: a window-sized burst of
+    // retries packed into one frame would exceed what the transport can
+    // carry and be lost on every attempt, so it leaves in several.
     ClientRequestBatchMsg batch;
     batch.ack_upto = session_.ack_upto();
-    batch.items.reserve(requests.size());
+    const std::size_t header = wire::measure(batch);
+    std::size_t size = header;
+    auto send_batch = [&]() {
+      rt.send(dst, msg_type::kClientRequestBatch,
+              wire::encode_pooled(rt.pool(), batch).view());
+      ++batches_sent_;
+      batched_requests_ += batch.items.size();
+    };
     for (InFlight* f : requests) {
-      batch.items.push_back({f->cmd.seq, WireBlob::ref(f->encoded)});
+      ClientRequestBatchMsg::Item item{f->cmd.seq, WireBlob::ref(f->encoded)};
+      const std::size_t item_size = wire::measure(item);
+      if (!batch.items.empty() && size + item_size > kMaxFramePayload) {
+        send_batch();
+        batch.items.clear();
+        size = header;
+      }
+      batch.items.push_back(std::move(item));
+      size += item_size;
       note_attempt(rt, *f);
     }
-    rt.send(dst, msg_type::kClientRequestBatch,
-            wire::encode_pooled(rt.pool(), batch).view());
-    ++batches_sent_;
-    batched_requests_ += requests.size();
+    send_batch();
   }
   if (!inflight_.empty()) arm_tick(rt);
 }
@@ -232,7 +247,7 @@ void ClusterClient::handle_redirect(Runtime& rt, const ClientRedirectMsg& msg) {
       msg.hint >= static_cast<ProcessId>(config_.cluster_n)) {
     return;  // "no leader here yet" — the tick's backoff/rotation handles it
   }
-  // A shard-scoped hint retargets only that group; kNoShard (an unsharded
+  // A shard-scoped hint retargets only that group; kNoShard (an M = 1
   // replica, or a cluster-wide hint) retargets every shard.
   const bool scoped =
       msg.shard != kNoShard && msg.shard < static_cast<ShardId>(config_.shards);

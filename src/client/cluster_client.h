@@ -20,14 +20,15 @@
 //    (admission queue over the leader's high-water mark) push the client
 //    into backoff without burning a retry against a healthy leader;
 //  * coalescing — sends are deferred to a zero-delay flush and packed per
-//    destination into kClientRequestBatch messages, so a burst of
-//    submissions (or retries) costs one network message and — on the
-//    leader — one consensus proposal instead of one per command (the
-//    unbatched hot path's first fix; measured by bench_a5_batching);
-//  * sharding — against a sharded cluster (shard/), keys are routed through
-//    a per-shard leader cache: redirects carry {shard, leader} and update
-//    only that shard's entry, so one confused group does not retarget the
-//    whole session.
+//    destination into kClientRequestBatch messages of at most
+//    kMaxFramePayload bytes, so a burst of submissions (or retries) costs
+//    one network message and — on the leader — one consensus proposal
+//    instead of one per command (the unbatched hot path's first fix;
+//    measured by bench_a5_batching);
+//  * sharding — against replicas hosting M > 1 groups (rsm/replica.h), keys
+//    are routed through a per-shard leader cache: redirects carry
+//    {shard, leader} and update only that shard's entry, so one confused
+//    group does not retarget the whole session.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +73,7 @@ struct ClusterClientConfig {
   /// Deadline-scan granularity.
   Duration tick = 10 * kMillisecond;
 
-  /// Shard count of the target cluster (1 = unsharded). Must match the
+  /// Shard count of the target cluster (groups per replica). Must match the
   /// replicas' ShardMap: the client hashes each key itself to pick the
   /// per-shard leader cache entry to route through.
   int shards = 1;
@@ -126,7 +127,7 @@ class ClusterClient final : public Actor {
 
   // Introspection ------------------------------------------------------------
   [[nodiscard]] const ClientSession& session() const { return session_; }
-  /// Believed leader for shard 0 (the only shard when unsharded).
+  /// Believed leader for shard 0 (the only shard when M = 1).
   [[nodiscard]] ProcessId target() const { return shard_target_[0]; }
   /// Believed leader for one shard's group.
   [[nodiscard]] ProcessId target(ShardId shard) const {
@@ -141,8 +142,9 @@ class ClusterClient final : public Actor {
   [[nodiscard]] std::uint64_t redirects() const { return redirects_; }
   [[nodiscard]] std::uint64_t busy_replies() const { return busy_; }
   [[nodiscard]] std::uint64_t target_rotations() const { return rotations_; }
-  /// Coalesced wire messages sent (each carrying >= 2 requests), and the
-  /// requests they carried — batched_requests / batches is the mean pack.
+  /// Coalesced wire messages sent (one per destination and flush, more when
+  /// a burst exceeds kMaxFramePayload), and the requests they carried —
+  /// batched_requests / batches is the mean pack.
   [[nodiscard]] std::uint64_t batches_sent() const { return batches_sent_; }
   [[nodiscard]] std::uint64_t batched_requests() const {
     return batched_requests_;

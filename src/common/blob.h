@@ -39,7 +39,7 @@ namespace lls {
 namespace borrowcheck {
 
 #ifdef LLS_BORROW_CHECK
-// Delivery scopes nest (a sharded container synchronously re-dispatches
+// Delivery scopes nest (a multi-group replica synchronously re-dispatches
 // enveloped frames inside its own delivery), so live scopes form a small
 // per-thread stack. Ids are never reused: a stale id is detectably dead.
 inline constexpr int kMaxDepth = 16;

@@ -86,6 +86,8 @@ class MuxActor final : public Actor {
 
     [[nodiscard]] obs::Plane& obs() override { return base_.obs(); }
 
+    [[nodiscard]] BufferPool& pool() override { return base_.pool(); }
+
    private:
     MuxActor& mux_;
     Runtime& base_;

@@ -43,9 +43,9 @@ inline constexpr TimerId kInvalidTimer = 0;
 /// "typed" fair-lossy links.
 using MessageType = std::uint16_t;
 
-/// Consensus-group index within a sharded replica (see shard/). Keys are
+/// Consensus-group index within a replica (see rsm/replica.h). Keys are
 /// partitioned over [0, M) groups by the ShardMap; kNoShard marks messages
-/// and hints that carry no shard affinity (the unsharded deployments).
+/// and hints that carry no shard affinity (the M = 1 deployments).
 using ShardId = std::uint16_t;
 
 inline constexpr ShardId kNoShard = std::numeric_limits<ShardId>::max();

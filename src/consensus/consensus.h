@@ -61,13 +61,14 @@ class ConsensusActor : public Actor {
  protected:
   /// Publishes a kDecide event on the runtime's observability bus: fired
   /// exactly once per instance on each process, in instance order, when
-  /// the decision becomes known locally. Subscribers (the RSM, the
-  /// experiment harness) filter on Event::process — this replaced the old
-  /// single-slot set_decision_listener callback. The payload view is only
-  /// valid during the publish; `b` carries the value size. `group_tag`
-  /// lands in Event::mtype: 0 for a standalone engine, shard + 1 for an
-  /// engine inside a sharded container, so subscribers co-located with M
-  /// engines can tell the logs apart (see shard/).
+  /// the decision becomes known locally. The bus is a passive tap for
+  /// observers (tests, the experiment harness, tracers), which filter on
+  /// Event::process; the state machine does not listen here — LogConsensus
+  /// hands each decision to its owner through a direct sink right after
+  /// this publish. The payload view is only valid during the publish; `b`
+  /// carries the value size. `group_tag` lands in Event::mtype: 0 for the
+  /// only log of a process, shard + 1 for a log inside a multi-group
+  /// replica, so observers of M co-located logs can tell them apart.
   static void notify_decision(Runtime& rt, Instance i, const Bytes& value,
                               std::uint16_t group_tag = 0) {
     obs::Event e;

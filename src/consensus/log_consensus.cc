@@ -3,10 +3,20 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace lls {
+
+LogConsensus::LogConsensus(LogConsensusConfig config, const OmegaActor* omega,
+                           DecisionSink sink)
+    : config_(config),
+      omega_(omega),
+      sink_(std::move(sink)),
+      durable_key_(group_tag() == 0 ? std::string("log_consensus/state")
+                                    : "log_consensus/state/" +
+                                          std::to_string(group_tag())) {}
 
 void LogConsensus::on_start(Runtime& rt) {
   self_ = rt.id();
@@ -22,10 +32,6 @@ void LogConsensus::on_start(Runtime& rt) {
   if (config_.durable) restore(rt);
   tick_timer_ = rt.set_timer(config_.retry_period);
 }
-
-namespace {
-constexpr const char* kDurableKey = "log_consensus/state";
-}  // namespace
 
 void LogConsensus::persist(Runtime& rt) const {
   StableStorage* storage = rt.storage();
@@ -46,7 +52,7 @@ void LogConsensus::persist(Runtime& rt) const {
     w.put(static_cast<std::uint8_t>(slot.has_value() ? 1 : 0));
     if (slot.has_value()) w.put_bytes(*slot);
   }
-  storage->write(kDurableKey, out);
+  storage->write(durable_key_, out);
 }
 
 void LogConsensus::restore(Runtime& rt) {
@@ -65,7 +71,7 @@ void LogConsensus::restore(Runtime& rt) {
     fence_round_ = kNoRound;
     fence_until_ = rt.now() + config_.lease.duration;
   }
-  auto blob = storage->read(kDurableKey);
+  auto blob = storage->read(durable_key_);
   if (!blob.has_value()) return;  // first boot
   BufReader r(*blob);
   acceptor_ = Acceptor::decode(r.get_bytes());
@@ -81,14 +87,14 @@ void LogConsensus::restore(Runtime& rt) {
     }
   }
   highest_seen_round_ = std::max(highest_seen_round_, acceptor_.promised());
-  // Re-fire decisions for the restored contiguous prefix so a recovering
+  // Re-deliver decisions for the restored contiguous prefix so a recovering
   // application can rebuild its state machine.
   next_notify_ = log_base_;
   while (next_notify_ < log_size() && decided_value(next_notify_) != nullptr) {
     const Bytes& v = *decided_value(next_notify_);
     Instance idx = next_notify_;
     ++next_notify_;
-    notify_decision(rt, idx, v, group_tag());
+    deliver_decision(rt, idx, v);
   }
 }
 
@@ -393,7 +399,7 @@ void LogConsensus::learn(Runtime& rt, Instance i, BytesView value) {
     e.type = obs::EventType::kSpanEnd;
     e.t = rt.now();
     e.process = self_;
-    e.mtype = group_tag();  // shard + 1 inside a sharded container, else 0
+    e.mtype = group_tag();  // shard + 1 inside a multi-group replica, else 0
     e.a = static_cast<std::uint64_t>(span);
     e.b = i;
     e.label = "consensus_instance";
@@ -416,7 +422,7 @@ void LogConsensus::learn(Runtime& rt, Instance i, BytesView value) {
     const Bytes& v = *decided_value(next_notify_);
     Instance idx = next_notify_;
     ++next_notify_;
-    notify_decision(rt, idx, v, group_tag());
+    deliver_decision(rt, idx, v);
   }
 
   // With a bounded pipelining window, a decision frees a slot: refill it
@@ -690,6 +696,12 @@ void LogConsensus::record_support(ProcessId q, TimePoint echo_ts) {
   // bound on that fence's expiry. max(): a stale echo never shortens.
   support_until_[q] =
       std::max(support_until_[q], echo_ts + config_.lease.duration);
+}
+
+void LogConsensus::deliver_decision(Runtime& rt, Instance i,
+                                    const Bytes& value) {
+  notify_decision(rt, i, value, group_tag());
+  if (sink_) sink_(i, value);
 }
 
 void LogConsensus::sample_lease_span(Runtime& rt) {

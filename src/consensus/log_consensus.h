@@ -26,9 +26,11 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "consensus/paxos.h"
@@ -44,16 +46,17 @@ struct LogConsensusConfig {
   /// (re)start. With this on, Paxos safety survives crash/recovery cycles
   /// (the classical durable-acceptor discipline); requires a runtime that
   /// provides storage (the simulator's crash-recovery mode). The decision
-  /// listener re-fires for the restored prefix on recovery, letting the
+  /// sink re-fires for the restored prefix on recovery, letting the
   /// application rebuild its state machine.
   bool durable = false;
 
-  /// Shard index when this engine is one of M groups inside a sharded
-  /// container (see shard/): tags kDecide and consensus-span events with
-  /// shard + 1 in Event::mtype and suffixes the decide-latency histogram
-  /// name with "_shard<g>", so co-located logs stay distinguishable.
-  /// -1 (default) = standalone engine; events carry tag 0 and the histogram
-  /// keeps its unsuffixed name — exactly the pre-sharding behavior.
+  /// Shard index when this engine is one of M > 1 groups inside a replica
+  /// container (see rsm/replica.h): tags kDecide and consensus-span events
+  /// with shard + 1 in Event::mtype, suffixes the decide-latency histogram
+  /// name with "_shard<g>" and the durable-state storage key with the same
+  /// tag, so co-located logs stay distinguishable. -1 (default) = the only
+  /// log of its process; events carry tag 0, and the histogram and storage
+  /// key keep their un-suffixed names.
   int shard = -1;
 
   /// Proposer pipelining window: maximum undecided instances this leader
@@ -104,10 +107,18 @@ struct LogConsensusConfig {
 
 class LogConsensus final : public ConsensusActor {
  public:
+  /// The application's decision path: called once per instance, in instance
+  /// order, when its decision becomes known locally — including the durable
+  /// prefix replayed from within on_start. `value` is only valid during the
+  /// call (empty = a no-op filler).
+  using DecisionSink = std::function<void(Instance i, BytesView value)>;
+
   /// `omega` supplies the leader oracle; not owned, must outlive this actor
-  /// (typically both live under one MuxActor on the same process).
-  LogConsensus(LogConsensusConfig config, const OmegaActor* omega)
-      : config_(config), omega_(omega) {}
+  /// (typically both live in one replica container on the same process).
+  /// `sink` (optional) receives every decision; the kDecide bus event is
+  /// published first either way, as a passive tap.
+  LogConsensus(LogConsensusConfig config, const OmegaActor* omega,
+               DecisionSink sink = nullptr);
 
   // Actor ------------------------------------------------------------------
   void on_start(Runtime& rt) override;
@@ -146,6 +157,13 @@ class LogConsensus final : public ConsensusActor {
   [[nodiscard]] int lease_supporters() const;
 
   // Introspection ----------------------------------------------------------
+  /// This log's group tag: 0 for the only log of its process, shard + 1
+  /// inside a multi-group container. Carried in Event::mtype and in the
+  /// durable storage keys of the log and of its application.
+  [[nodiscard]] std::uint16_t group_tag() const {
+    return config_.shard < 0 ? 0
+                             : static_cast<std::uint16_t>(config_.shard + 1);
+  }
   [[nodiscard]] bool is_leader_ready() const { return leader_ready_; }
   [[nodiscard]] Round current_round() const { return my_round_; }
   [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
@@ -227,11 +245,8 @@ class LogConsensus final : public ConsensusActor {
   void record_support(ProcessId q, TimePoint echo_ts);
   /// Publishes lease-held spans on validity transitions (called per tick).
   void sample_lease_span(Runtime& rt);
-  /// Event tag for this engine's kDecide / span events (0 = unsharded).
-  [[nodiscard]] std::uint16_t group_tag() const {
-    return config_.shard < 0 ? 0
-                             : static_cast<std::uint16_t>(config_.shard + 1);
-  }
+  /// Publishes the kDecide tap, then hands the decision to the sink.
+  void deliver_decision(Runtime& rt, Instance i, const Bytes& value);
   /// True when the pipelining window has room for a fresh assignment.
   [[nodiscard]] bool window_open() const {
     return config_.max_inflight == 0 ||
@@ -240,6 +255,9 @@ class LogConsensus final : public ConsensusActor {
 
   LogConsensusConfig config_;
   const OmegaActor* omega_;
+  DecisionSink sink_;
+  /// Storage key of the durable state (per group, see LogConsensusConfig).
+  std::string durable_key_;
 
   ProcessId self_ = kNoProcess;
   int n_ = 0;

@@ -40,6 +40,12 @@ struct Message {
   std::uint64_t checksum = 0;
 };
 
+/// Largest payload one wire frame may carry: the IPv4 UDP datagram limit
+/// (65507 bytes) less UdpNode's 6-byte frame header. The kernel refuses a
+/// bigger datagram outright, so a sender that packs a variable amount into
+/// one frame (ClusterClient's request batches) must split at this bound.
+inline constexpr std::size_t kMaxFramePayload = 65507 - 6;
+
 // --- client service protocol (0x03xx, the RSM block) -------------------------
 //
 // Clients are ordinary processes in the same network fabric as the replicas
@@ -95,8 +101,8 @@ struct ClientReplyMsg {
 
 /// NOT_LEADER: the replica's current Omega output, as a routing hint.
 /// kNoProcess means "no leader elected yet here; ask someone else / retry".
-/// `shard` scopes the hint to one consensus group of a sharded cluster
-/// (kNoShard = the hint applies cluster-wide, the unsharded case — today
+/// `shard` scopes the hint to one consensus group of a multi-group cluster
+/// (kNoShard = the hint applies cluster-wide, the M = 1 case — today
 /// co-located groups share one Omega, so the distinction is future-proofing
 /// for per-group leadership).
 struct ClientRedirectMsg {

@@ -19,10 +19,10 @@ Bytes encode_single_command(const Command& cmd) {
 KvCore::KvCore(const KvCoreOptions& options)
     : config_(options.replica),
       omega_(options.omega),
-      consensus_(options.consensus, options.omega),
+      consensus_(options.consensus, options.omega,
+                 [this](Instance i, BytesView value) { on_decided(i, value); }),
       durable_(options.consensus.durable) {
   if (options.consensus.shard >= 0) {
-    group_tag_ = static_cast<std::uint16_t>(options.consensus.shard + 1);
     shard_ = static_cast<ShardId>(options.consensus.shard);
   }
 }
@@ -35,21 +35,10 @@ void KvCore::on_start(Runtime& rt) {
   // them — the aggregate is what the benches assert on).
   reads_local_ctr_ = &rt.obs().registry().counter("kv_reads_local");
   reads_ordered_ctr_ = &rt.obs().registry().counter("kv_reads_ordered");
-  // Subscribe to decisions before the engine starts: a durable consensus
-  // log re-publishes the restored prefix from within on_start, and those
-  // events must reach this core. The bus is plane-wide (shared by every
-  // process in a simulation) and, in a sharded container, also shared by
-  // every co-located group — filter on the emitting process AND the group
-  // tag.
-  decide_sub_ = rt.obs().bus().subscribe(
-      obs::mask_of(obs::EventType::kDecide), [this](const obs::Event& e) {
-        if (e.process == self_ && e.mtype == group_tag_) {
-          on_decided(e.a, e.payload);
-        }
-      });
   // Restore the store snapshot (if any) BEFORE the consensus engine starts:
-  // a durable engine re-publishes its surviving decided suffix from within
-  // on_start, and snapshot_skip_ must already cover the compacted prefix.
+  // a durable engine re-delivers its surviving decided suffix to the sink
+  // from within on_start, and snapshot_skip_ must already cover the
+  // compacted prefix.
   if (durable_) restore_snapshot(rt);
   consensus_.on_start(rt);
 }
@@ -335,7 +324,7 @@ Instance KvCore::compact_to(Instance upto) {
 }
 
 std::string KvCore::snapshot_key() const {
-  return "kv_core/snapshot/" + std::to_string(group_tag_);
+  return "kv_core/snapshot/" + std::to_string(consensus_.group_tag());
 }
 
 void KvCore::persist_snapshot(Runtime& rt) const {

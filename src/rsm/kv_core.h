@@ -1,15 +1,13 @@
 // KvCore: one consensus group's replicated-KV machinery, independent of the
 // leader oracle that drives it.
 //
-// Historically this logic lived inside the BasicKvReplica template; it was
-// extracted so that a sharded container (shard/) can host M cores behind a
-// single Omega instance without instantiating M oracles. A core owns
-//   * a LogConsensus engine (fed by the shared, non-owned OmegaActor),
+// The replica container (replica.h) hosts M >= 1 cores behind a single
+// Omega instance, so no core instantiates an oracle of its own. A core owns
+//   * a LogConsensus engine (fed by the shared, non-owned OmegaActor) whose
+//     decisions reach the core through a direct sink bound at construction,
 //   * the deterministic KvStore it applies decided commands to,
 //   * all client-service state for its key range: (origin, seq) dedup,
 //     result caches, the admission window with BUSY backpressure, batching.
-// BasicKvReplica (replica.h) is now a thin wrapper: one oracle + one core;
-// BasicShardedReplica (shard/sharded_replica.h) is one oracle + M cores.
 //
 // Consensus guarantees at-least-once placement of a submitted command (it
 // may appear in two instances across a leader change); the core's
@@ -94,9 +92,12 @@ class KvCore final : public Actor {
   /// The options' omega supplies the leader oracle; not owned, must outlive
   /// this core (the owning replica holds both). The consensus config's
   /// `shard` field doubles as this core's shard identity: redirects carry it
-  /// as the routing hint scope, and the core only consumes kDecide events
-  /// tagged with the matching group (shard < 0 = unsharded, tag 0).
+  /// as the routing hint scope (shard < 0 = the only group, kNoShard), and
+  /// the snapshot storage key carries the engine's group tag.
   explicit KvCore(const KvCoreOptions& options);
+
+  KvCore(const KvCore&) = delete;  // the engine's sink captures `this`
+  KvCore& operator=(const KvCore&) = delete;
 
   /// Overrides the first local submit() sequence number, evaluated lazily on
   /// the first submission (after the oracle has started). Crash-recovery
@@ -128,12 +129,6 @@ class KvCore final : public Actor {
   [[nodiscard]] std::uint64_t duplicates_suppressed() const {
     return duplicates_;
   }
-  /// Local submissions whose callbacks have not fired yet.
-  [[nodiscard]] std::size_t callbacks_outstanding() const {
-    return callbacks_.size();
-  }
-  /// Commands batched locally but not yet handed to consensus.
-  [[nodiscard]] std::size_t batch_buffered() const { return batch_.size(); }
   LogConsensus& consensus() { return consensus_; }
   [[nodiscard]] const LogConsensus& consensus() const { return consensus_; }
 
@@ -157,11 +152,6 @@ class KvCore final : public Actor {
   [[nodiscard]] Instance applied_upto() const { return applied_upto_; }
 
   // Client-service introspection --------------------------------------------
-  /// True when (origin, seq) has been applied to this core's store.
-  [[nodiscard]] bool has_applied(ProcessId origin, std::uint64_t seq) const {
-    auto it = applied_.find(origin);
-    return it != applied_.end() && it->second.count(seq) != 0;
-  }
   /// Client commands admitted here and not yet applied (the BUSY meter).
   [[nodiscard]] std::size_t admitted_inflight() const {
     return admitted_inflight_;
@@ -194,6 +184,7 @@ class KvCore final : public Actor {
     std::set<std::uint64_t> admitted;
   };
 
+  /// The engine's decision sink: applies one decided log entry.
   void on_decided(Instance i, BytesView value);
   void apply_command(const Command& cmd);
   void persist_snapshot(Runtime& rt) const;
@@ -228,10 +219,7 @@ class KvCore final : public Actor {
   Runtime* rt_ = nullptr;
   const OmegaActor* omega_;
   LogConsensus consensus_;
-  /// kDecide events from co-located engines are told apart by this tag
-  /// (shard + 1, or 0 for an unsharded core) — see ConsensusActor.
-  std::uint16_t group_tag_ = 0;
-  /// Shard identity carried in redirects (kNoShard when unsharded).
+  /// Shard identity carried in redirects (kNoShard for the only group).
   ShardId shard_ = kNoShard;
   std::function<std::uint64_t()> initial_seq_;
 
@@ -275,8 +263,6 @@ class KvCore final : public Actor {
   // Batching mode.
   std::vector<Command> batch_;
   TimerId flush_timer_ = kInvalidTimer;
-
-  obs::Subscription decide_sub_;
 };
 
 }  // namespace lls

@@ -13,13 +13,16 @@
 
 #include "common/blob.h"
 #include "common/serialization.h"
+#include "net/message.h"
 #include "obs/snapshot.h"
 
 namespace lls {
 
 namespace {
-constexpr std::size_t kMaxDatagram = 64 * 1024;
 constexpr std::size_t kHeaderSize = sizeof(std::uint32_t) + sizeof(std::uint16_t);
+/// 65507 bytes, the IPv4 UDP maximum: every datagram the kernel accepts
+/// fits one receive slab.
+constexpr std::size_t kMaxDatagram = kHeaderSize + kMaxFramePayload;
 /// Outbound coalescing: flush threshold and sendmmsg(2) chunk size.
 constexpr std::size_t kSendBatch = 64;
 /// Inbound: datagrams drained per recvmmsg(2) call.
@@ -74,7 +77,11 @@ void UdpNode::start() {
     peer.sin_port = htons(static_cast<std::uint16_t>(config_.base_port + dst));
     ::inet_pton(AF_INET, config_.host.c_str(), &peer.sin_addr);
   }
-  recv_bufs_.resize(config_.batch_io ? kRecvBatch : 1);
+#if defined(__linux__)
+  recv_bufs_.resize(kRecvBatch);
+#else
+  recv_bufs_.resize(1);
+#endif
   for (Bytes& slab : recv_bufs_) slab.resize(kMaxDatagram);
   sendq_.reserve(kSendBatch);
   running_.store(true);
@@ -140,14 +147,6 @@ void UdpNode::send(ProcessId dst, MessageType type, BytesView payload) {
   }
   datagrams_sent_->inc();
   bytes_sent_->inc(frame.size());
-  if (!config_.batch_io) {
-    // Fire-and-forget: UDP send failures are indistinguishable from link
-    // loss, which the protocols tolerate by design.
-    ::sendto(fd_, out, frame.size(), 0,
-             reinterpret_cast<const sockaddr*>(&peer_addr_[dst]),
-             sizeof(sockaddr_in));
-    return;  // ~PooledBuffer recycles the frame
-  }
   sendq_.push_back(PendingSend{dst, std::move(frame)});
   if (sendq_.size() >= kSendBatch) flush_sends();
 }
@@ -172,12 +171,15 @@ void UdpNode::flush_sends() {
     }
     int sent = ::sendmmsg(fd_, msgs, static_cast<unsigned>(batch), 0);
     sendmmsg_calls_->inc();
-    if (sent <= 0) break;  // kernel refused the batch: drop it as link loss
-    done += static_cast<std::size_t>(sent);
-    // Partial acceptance (sent < batch): loop resumes at the first
-    // unsent frame instead of re-sending or dropping the whole chunk.
+    // sendmmsg stops at the first frame the kernel refuses (e.g. EMSGSIZE),
+    // returning the count sent before it, or -1 when it is the first one.
+    // Drop only that frame, as link loss, and resume right after it; the
+    // frames queued behind it (heartbeats included) still go out.
+    done += sent > 0 ? static_cast<std::size_t>(sent) : 1;
   }
 #else
+  // Fire-and-forget: UDP send failures are indistinguishable from link
+  // loss, which the protocols tolerate by design.
   for (PendingSend& p : sendq_) {
     ::sendto(fd_, p.frame.bytes().data(), p.frame.size(), 0,
              reinterpret_cast<const sockaddr*>(&peer_addr_[p.dst]),
@@ -215,7 +217,6 @@ TimePoint UdpNode::next_deadline() {
 }
 
 void UdpNode::run() {
-  std::vector<std::byte> buf(kMaxDatagram);
   while (running_.load()) {
     // Fire posted calls and the timers that were due when this pass began.
     // The cutoff is deliberately a snapshot: a handler that re-arms its
@@ -285,28 +286,26 @@ void UdpNode::deliver_frame(const std::byte* data, std::size_t len) {
 
 void UdpNode::drain_socket() {
 #if defined(__linux__)
-  if (config_.batch_io) {
-    for (;;) {
-      mmsghdr msgs[kRecvBatch];
-      iovec iov[kRecvBatch];
-      std::memset(msgs, 0, sizeof(msgs));
-      for (std::size_t i = 0; i < kRecvBatch; ++i) {
-        iov[i].iov_base = recv_bufs_[i].data();
-        iov[i].iov_len = recv_bufs_[i].size();
-        msgs[i].msg_hdr.msg_iov = &iov[i];
-        msgs[i].msg_hdr.msg_iovlen = 1;
-      }
-      int got = ::recvmmsg(fd_, msgs, kRecvBatch, MSG_DONTWAIT, nullptr);
-      if (got <= 0) return;
-      recvmmsg_calls_->inc();
-      for (int i = 0; i < got; ++i) {
-        deliver_frame(recv_bufs_[static_cast<std::size_t>(i)].data(),
-                      msgs[i].msg_len);
-      }
-      if (got < static_cast<int>(kRecvBatch)) return;  // socket drained
+  for (;;) {
+    mmsghdr msgs[kRecvBatch];
+    iovec iov[kRecvBatch];
+    std::memset(msgs, 0, sizeof(msgs));
+    for (std::size_t i = 0; i < kRecvBatch; ++i) {
+      iov[i].iov_base = recv_bufs_[i].data();
+      iov[i].iov_len = recv_bufs_[i].size();
+      msgs[i].msg_hdr.msg_iov = &iov[i];
+      msgs[i].msg_hdr.msg_iovlen = 1;
     }
+    int got = ::recvmmsg(fd_, msgs, kRecvBatch, MSG_DONTWAIT, nullptr);
+    if (got <= 0) return;
+    recvmmsg_calls_->inc();
+    for (int i = 0; i < got; ++i) {
+      deliver_frame(recv_bufs_[static_cast<std::size_t>(i)].data(),
+                    msgs[i].msg_len);
+    }
+    if (got < static_cast<int>(kRecvBatch)) return;  // socket drained
   }
-#endif
+#else
   Bytes& buf = recv_bufs_.front();
   for (;;) {
     ssize_t got = ::recvfrom(fd_, buf.data(), buf.size(), MSG_DONTWAIT,
@@ -314,6 +313,7 @@ void UdpNode::drain_socket() {
     if (got < 0) return;  // drained
     deliver_frame(buf.data(), static_cast<std::size_t>(got));
   }
+#endif
 }
 
 }  // namespace lls

@@ -6,13 +6,15 @@
 // Nodes in one OS process share nothing but the loopback device — the same
 // class works with one node per machine by changing the address scheme.
 //
-// Datagram format: [src: u32][type: u16][payload bytes].
+// Datagram format: [src: u32][type: u16][payload bytes], payload at most
+// kMaxFramePayload (net/message.h).
 //
-// Batched data plane (batch_io, default on): outbound frames are drawn
-// from the node's BufferPool and coalesced into a send queue flushed with
-// one sendmmsg(2) per 64 datagrams; inbound traffic is drained with
-// recvmmsg(2) into persistent receive slabs. On non-Linux platforms the
-// same queueing logic degrades to sendto/recvfrom loops.
+// Batched data plane: outbound frames are drawn from the node's BufferPool
+// and coalesced into a send queue flushed with one sendmmsg(2) per 64
+// datagrams; inbound traffic is drained with recvmmsg(2) into persistent
+// receive slabs. A frame the kernel refuses is dropped alone, as link loss.
+// On non-Linux platforms the same queueing logic degrades to
+// sendto/recvfrom loops.
 #pragma once
 
 #include <netinet/in.h>
@@ -44,10 +46,6 @@ struct UdpNodeConfig {
   /// text, `/metrics.json` bench JSON). 0 disables the server; kAnyPort
   /// binds an ephemeral port, read back with stats_port().
   std::uint16_t stats_port = 0;
-  /// Coalesce outbound datagrams into sendmmsg(2) batches and drain the
-  /// socket with recvmmsg(2). Frames are pooled either way; disabling only
-  /// reverts to one syscall per datagram (for A/B measurement).
-  bool batch_io = true;
 };
 
 /// UdpNodeConfig::stats_port value requesting an OS-assigned port.

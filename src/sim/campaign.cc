@@ -24,7 +24,6 @@
 #include "rsm/history.h"
 #include "rsm/linearizability.h"
 #include "rsm/replica.h"
-#include "shard/sharded_replica.h"
 #include "sim/nemesis.h"
 #include "sim/simulator.h"
 
@@ -640,27 +639,13 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
   lc.lease.unsafe_skip_fence = config.lease_sabotage;
   CeOmegaConfig oc = ce_config(config);
   if (lease_mode) oc.lease_duration = config.lease_duration;
-  const bool sharded = config.shards > 0;
+  const KvReplica::Options opts{
+      .omega = oc, .consensus = lc, .replica = rc, .shards = config.shards};
   for (ProcessId p = 0; p < static_cast<ProcessId>(config.n); ++p) {
-    if (sharded) {
-      ShardedReplicaConfig src;
-      src.shards = config.shards;
-      src.replica = rc;
-      ShardedKvReplica::Options opts{
-          .omega = oc, .consensus = lc, .sharded = src};
-      if (relayed) {
-        sim.emplace_actor<RelayActor>(
-            p, std::make_unique<ShardedKvReplica>(opts));
-      } else {
-        sim.emplace_actor<ShardedKvReplica>(p, opts);
-      }
+    if (relayed) {
+      sim.emplace_actor<RelayActor>(p, std::make_unique<KvReplica>(opts));
     } else {
-      KvReplica::Options opts{.omega = oc, .consensus = lc, .replica = rc};
-      if (relayed) {
-        sim.emplace_actor<RelayActor>(p, std::make_unique<KvReplica>(opts));
-      } else {
-        sim.emplace_actor<KvReplica>(p, opts);
-      }
+      sim.emplace_actor<KvReplica>(p, opts);
     }
   }
   // The sabotage script needs a controlled execution: no nemesis chaos, the
@@ -677,15 +662,12 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
     nemesis.emplace(sim, base, nc);
   }
 
-  auto holder_of = [&sim, &config, sharded, relayed]() {
+  auto holder_of = [&sim, &config, relayed]() {
     for (ProcessId p = 0; p < static_cast<ProcessId>(config.n); ++p) {
       if (!sim.alive(p)) continue;
-      const bool valid =
-          sharded
-              ? proto_actor<ShardedKvReplica>(sim, p, relayed)
-                        .lease_valid_groups() > 0
-              : proto_actor<KvReplica>(sim, p, relayed).lease_valid();
-      if (valid) return p;
+      if (proto_actor<KvReplica>(sim, p, relayed).lease_valid_groups() > 0) {
+        return p;
+      }
     }
     return kNoProcess;
   };
@@ -744,7 +726,7 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
   auto history = std::make_shared<std::vector<HistoryOp>>();
   history->reserve(plan->size());
   for (std::size_t k = 0; k < plan->size(); ++k) {
-    sim.schedule((*plan)[k].at, [&sim, plan, history, k, sharded, relayed]() {
+    sim.schedule((*plan)[k].at, [&sim, plan, history, k, relayed]() {
       const PlannedKvOp& spec = (*plan)[k];
       if (!sim.alive(spec.submitter)) return;  // op never issued
       HistoryOp op;
@@ -761,15 +743,9 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
         (*history)[slot].responded = sim.now();
         (*history)[slot].result = result;
       };
-      if (sharded) {
-        proto_actor<ShardedKvReplica>(sim, spec.submitter, relayed)
-            .submit(spec.op, spec.key, spec.value, spec.expected,
-                    std::move(done));
-      } else {
-        proto_actor<KvReplica>(sim, spec.submitter, relayed)
-            .submit(spec.op, spec.key, spec.value, spec.expected,
-                    std::move(done));
-      }
+      proto_actor<KvReplica>(sim, spec.submitter, relayed)
+          .submit(spec.op, spec.key, spec.value, spec.expected,
+                  std::move(done));
     });
   }
   // Lease sabotage script: elect and write, partition the leaseholder away
@@ -780,9 +756,9 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
   // state; the linearizability checker must catch exactly that.
   auto sab_leader = std::make_shared<ProcessId>(kNoProcess);
   if (config.lease_sabotage) {
-    auto submit_at = [&sim, history, sharded, relayed](ProcessId p, KvOp op,
-                                                       std::string key,
-                                                       std::string value) {
+    auto submit_at = [&sim, history, relayed](ProcessId p, KvOp op,
+                                              std::string key,
+                                              std::string value) {
       HistoryOp rec;
       rec.cmd.origin = p;
       rec.cmd.seq = static_cast<std::uint64_t>(history->size()) + 1;
@@ -796,15 +772,8 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
         (*history)[slot].responded = sim.now();
         (*history)[slot].result = result;
       };
-      if (sharded) {
-        proto_actor<ShardedKvReplica>(sim, p, relayed)
-            .submit(op, std::move(key), std::move(value), "",
-                    std::move(done));
-      } else {
-        proto_actor<KvReplica>(sim, p, relayed)
-            .submit(op, std::move(key), std::move(value), "",
-                    std::move(done));
-      }
+      proto_actor<KvReplica>(sim, p, relayed)
+          .submit(op, std::move(key), std::move(value), "", std::move(done));
     };
     sim.schedule(3 * kSecond, [sab_leader, holder_of, submit_at]() {
       *sab_leader = holder_of();
@@ -873,30 +842,28 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
   }
 
   // Convergence: alive replicas hold byte-identical stores at the horizon —
-  // per group when sharded (the groups' stores are disjoint key partitions
-  // that must each converge independently).
-  const int groups = sharded ? config.shards : 1;
-  std::vector<std::optional<std::uint64_t>> digests(
-      static_cast<std::size_t>(groups));
-  std::vector<bool> diverged(static_cast<std::size_t>(groups), false);
+  // per group (the groups' stores are disjoint key partitions that must each
+  // converge independently).
+  std::vector<std::optional<std::uint64_t>> digests;
+  std::vector<bool> diverged;
   for (ProcessId p = 0;
        !config.lease_sabotage && p < static_cast<ProcessId>(config.n); ++p) {
     if (!sim.alive(p)) continue;
-    for (int g = 0; g < groups; ++g) {
+    const KvReplica& replica = proto_actor<KvReplica>(sim, p, relayed);
+    const auto groups = static_cast<std::size_t>(replica.shards());
+    digests.resize(groups);
+    diverged.resize(groups, false);
+    for (std::size_t g = 0; g < groups; ++g) {
       const std::uint64_t d =
-          sharded ? proto_actor<ShardedKvReplica>(sim, p, relayed)
-                        .group(g)
-                        .store()
-                        .digest()
-                  : proto_actor<KvReplica>(sim, p, relayed).store().digest();
-      auto& ref = digests[static_cast<std::size_t>(g)];
+          replica.group(static_cast<int>(g)).store().digest();
+      auto& ref = digests[g];
       if (!ref) {
         ref = d;
-      } else if (*ref != d && !diverged[static_cast<std::size_t>(g)]) {
-        diverged[static_cast<std::size_t>(g)] = true;
+      } else if (*ref != d && !diverged[g]) {
+        diverged[g] = true;
         violations.emplace_back(
-            "alive replicas diverged: store digests differ" +
-            (sharded ? " (shard " + std::to_string(g) + ")" : std::string()));
+            "alive replicas diverged: store digests differ (shard " +
+            std::to_string(g) + ")");
       }
     }
   }
@@ -1127,7 +1094,7 @@ std::string replay_command(const CampaignConfig& config, std::uint64_t seed) {
       << " --kills=" << config.crash_stop_budget;
   if (config.scenario == Scenario::kKvLinearizable) {
     out << " --kv-ops=" << config.kv_ops << " --kv-keys=" << config.kv_keys;
-    if (config.shards > 0) out << " --shards=" << config.shards;
+    out << " --shards=" << config.shards;
     if (config.lease_reads) out << " --lease-reads";
     if (config.lease_sabotage) out << " --lease-sabotage";
   }

@@ -9,6 +9,7 @@
 // duplicate and zero lost acked commands.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "rsm/replica.h"
 #include "sim/nemesis.h"
 #include "sim/simulator.h"
+#include "testing_util.h"
 
 namespace lls {
 namespace {
@@ -225,6 +227,70 @@ TEST(ClientSessionE2E, ExactlyOnceAcrossForcedLeaderCrash) {
       << "server-side history rejected; failing key "
       << server.failed_partition;
   EXPECT_GE(recorder.history().size(), acked_tokens->size());
+}
+
+TEST(ClientSessionE2E, OversizedBurstIsSplitUnderTheFrameCap) {
+  // A window-sized burst packed into one kClientRequestBatch would exceed
+  // what a datagram can carry (and on UDP be lost on every retry): the
+  // client splits it into frames of at most kMaxFramePayload bytes.
+  constexpr int kClusterN = 3;
+  constexpr int kCommands = 1500;
+  SimConfig sc;
+  sc.n = kClusterN + 1;
+  sc.seed = 17;
+  Simulator sim(sc, make_all_timely({500, 2 * kMillisecond}));
+  KvReplicaConfig rc;
+  rc.cluster_n = kClusterN;
+  rc.admit_high_water = kCommands;
+  std::vector<testing::RecvTap*> taps;
+  for (ProcessId p = 0; p < kClusterN; ++p) {
+    auto tap = std::make_unique<testing::RecvTap>(std::make_unique<KvReplica>(
+        KvReplica::Options{.omega = CeOmegaConfig{},
+                           .consensus = LogConsensusConfig{},
+                           .replica = rc}));
+    taps.push_back(tap.get());
+    sim.set_actor(p, std::move(tap));
+  }
+  ClusterClientConfig cc;
+  cc.cluster_n = kClusterN;
+  cc.window = kCommands;
+  ClusterClient& client = sim.emplace_actor<ClusterClient>(kClusterN, cc);
+
+  std::map<std::uint64_t, int> completions;
+  const std::string pad(100, 'x');
+  sim.schedule(2 * kSecond, [&]() {
+    for (int i = 0; i < kCommands; ++i) {
+      client.submit(KvOp::kAppend, "k" + std::to_string(i % 4),
+                    std::to_string(i) + pad + ";", "",
+                    [&completions](const ClientCompletion& done) {
+                      if (!done.timed_out) ++completions[done.cmd.seq];
+                    });
+    }
+  });
+  sim.start();
+  sim.run_until(30 * kSecond);
+
+  ASSERT_EQ(client.acked(), static_cast<std::uint64_t>(kCommands));
+  ASSERT_EQ(completions.size(), static_cast<std::size_t>(kCommands));
+  for (const auto& [seq, count] : completions) EXPECT_EQ(count, 1) << seq;
+  // The burst really overflowed one frame, and no frame crossed the cap.
+  EXPECT_GT(static_cast<std::size_t>(kCommands) * pad.size(), kMaxFramePayload);
+  EXPECT_GE(client.batches_sent(), 2u);
+  for (auto* tap : taps) {
+    EXPECT_LE(tap->seen(msg_type::kClientRequestBatch).max_bytes,
+              kMaxFramePayload);
+  }
+  // Every replica applied every command exactly once.
+  for (auto* tap : taps) {
+    const KvStore& store = tap->inner_as<KvReplica>().store();
+    EXPECT_EQ(store.applied(), static_cast<std::uint64_t>(kCommands));
+    std::size_t tokens = 0;
+    for (const auto& [key, value] : store.data()) {
+      tokens += static_cast<std::size_t>(
+          std::count(value.begin(), value.end(), ';'));
+    }
+    EXPECT_EQ(tokens, static_cast<std::size_t>(kCommands));
+  }
 }
 
 }  // namespace

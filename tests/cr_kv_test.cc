@@ -5,27 +5,34 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "net/topology.h"
 #include "rsm/replica.h"
+#include "shard/shard_map.h"
 #include "sim/simulator.h"
 
 namespace lls {
 namespace {
 
 // Heap-built: the simulator's observability plane makes it non-movable.
-std::unique_ptr<Simulator> make_cr_kv_cluster(int n, std::uint64_t seed) {
+std::unique_ptr<Simulator> make_cr_kv_cluster(int n, std::uint64_t seed,
+                                              int shards = 1) {
   SimConfig config;
   config.n = n;
   config.seed = seed;
   auto sim = std::make_unique<Simulator>(config,
                                          make_all_timely({500, 2 * kMillisecond}));
   for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
-    sim->set_actor_factory(p, []() {
+    sim->set_actor_factory(p, [shards]() {
       LogConsensusConfig lc;
       lc.durable = true;
-      return std::make_unique<CrKvReplica>(CrKvReplica::Options{
-          .omega = CrOmegaConfig{}, .consensus = lc});
+      return std::make_unique<CrKvReplica>(
+          CrKvReplica::Options{.omega = CrOmegaConfig{},
+                               .consensus = lc,
+                               .replica = KvReplicaConfig{},
+                               .shards = shards});
     });
   }
   return sim;
@@ -201,6 +208,65 @@ TEST(CrKv, ChurnWithSteadyWritesConverges) {
     auto it = store.data().find("t");
     ASSERT_NE(it, store.data().end()) << "p" << p;
     EXPECT_EQ(it->second.size(), 30u) << "p" << p;
+  }
+}
+
+TEST(CrKv, TwoDurableGroupsSurviveFollowerRecoveryAndPowerLoss) {
+  // Each group persists under its own storage keys, so both logs and both
+  // compaction snapshots survive side by side in one process's storage.
+  constexpr int kShards = 2;
+  constexpr int kKeys = 8;
+  auto sim_owner = make_cr_kv_cluster(3, 9, kShards);
+  Simulator& sim = *sim_owner;
+  auto append_all = [&sim](ProcessId at, const std::string& token) {
+    for (int k = 0; k < kKeys; ++k) {
+      sim.actor_as<CrKvReplica>(at).submit(KvOp::kAppend,
+                                           "k" + std::to_string(k), token);
+    }
+  };
+  sim.schedule(1 * kSecond, [&]() { append_all(0, "a"); });
+  sim.crash_at(2, 4 * kSecond);  // a follower misses the second round
+  sim.schedule(5 * kSecond, [&]() { append_all(1, "b"); });
+  sim.recover_at(2, 7 * kSecond);
+  sim.schedule(15 * kSecond, [&]() {
+    for (ProcessId p = 0; p < 3; ++p) {
+      for (int g = 0; g < kShards; ++g) {
+        EXPECT_GT(sim.actor_as<CrKvReplica>(p).group(g).compact_applied(), 0u)
+            << "p" << p << " shard " << g;
+      }
+    }
+  });
+  for (ProcessId p = 0; p < 3; ++p) {
+    sim.crash_at(p, 20 * kSecond);
+    sim.recover_at(p, 22 * kSecond + p * 300 * kMillisecond);
+  }
+  sim.schedule(30 * kSecond, [&]() { append_all(2, "c"); });
+  sim.start();
+  sim.run_until(60 * kSecond);
+
+  const ShardMap map(kShards);
+  std::vector<int> keys_per_group(kShards, 0);
+  for (int k = 0; k < kKeys; ++k) {
+    ++keys_per_group[map.shard_of("k" + std::to_string(k))];
+  }
+  const auto& ref = sim.actor_as<CrKvReplica>(0);
+  for (ProcessId p = 0; p < 3; ++p) {
+    const auto& r = sim.actor_as<CrKvReplica>(p);
+    ASSERT_EQ(r.shards(), kShards);
+    for (int g = 0; g < kShards; ++g) {
+      ASSERT_GT(keys_per_group[g], 0) << "test keys must cover every group";
+      const KvStore& store = r.group(g).store();
+      EXPECT_EQ(store.digest(), ref.group(g).store().digest())
+          << "p" << p << " shard " << g;
+      EXPECT_EQ(store.data().size(),
+                static_cast<std::size_t>(keys_per_group[g]))
+          << "p" << p << " shard " << g;
+      for (const auto& [key, value] : store.data()) {
+        EXPECT_EQ(map.shard_of(key), g) << key;
+        // Every round applied exactly once, in submission order.
+        EXPECT_EQ(value, "abc") << "p" << p << " " << key;
+      }
+    }
   }
 }
 

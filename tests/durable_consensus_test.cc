@@ -156,6 +156,30 @@ TEST(DurableAcceptor, AcceptedPairAndDecisionSurviveCrash) {
   EXPECT_EQ(replayed[1].first, 1u);
 }
 
+TEST(DurableAcceptor, EachGroupPersistsUnderItsOwnKey) {
+  // The only log of a process keeps the historical key; a log that is group
+  // g of a multi-group replica persists under a key tagged g + 1, so
+  // co-located durable logs never overwrite each other.
+  NullOmega omega;
+  DurableFakeRuntime rt(/*id=*/2, /*n=*/3);
+  LogConsensusConfig grouped = CrNode::durable_config();
+  grouped.shard = 1;
+  {
+    LogConsensus only(CrNode::durable_config(), &omega);
+    LogConsensus group1(grouped, &omega);
+    only.on_start(rt);
+    group1.on_start(rt);
+    only.on_message(rt, 0, msg_type::kPrepare, PrepareMsg{9, 0}.encode());
+    group1.on_message(rt, 0, msg_type::kPrepare, PrepareMsg{6, 0}.encode());
+  }
+  EXPECT_EQ(rt.storage_.keys(), 2u);
+  EXPECT_TRUE(rt.storage_.read("log_consensus/state").has_value());
+  EXPECT_TRUE(rt.storage_.read("log_consensus/state/2").has_value());
+  LogConsensus recovered(grouped, &omega);
+  recovered.on_start(rt);
+  EXPECT_EQ(recovered.acceptor().promised(), 6);
+}
+
 // --- integration: churn and restarts ------------------------------------------
 
 TEST(DurableConsensus, DecidesThroughRecoveryChurn) {

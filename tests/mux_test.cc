@@ -143,5 +143,29 @@ TEST(Mux, ChildSendsPassThrough) {
   EXPECT_EQ(rt.count_sent(2, 0x0155), 1);
 }
 
+TEST(Mux, ChildRuntimeForwardsPoolAndPlaneToBase) {
+  // Wrapper runtimes must forward pool() and obs(): a child encoding into a
+  // private fallback pool would recycle nothing and hide its hits and
+  // misses from the base's accounting.
+  class Probe final : public Actor {
+   public:
+    void on_start(Runtime& rt) override {
+      pool = &rt.pool();
+      plane = &rt.obs();
+    }
+    void on_message(Runtime&, ProcessId, MessageType, BytesView) override {}
+    void on_timer(Runtime&, TimerId) override {}
+    BufferPool* pool = nullptr;
+    obs::Plane* plane = nullptr;
+  };
+  Probe p;
+  MuxActor mux;
+  mux.add_child(p, 0x0100, 0x01ff);
+  FakeRuntime rt(0, 3);
+  mux.on_start(rt);
+  EXPECT_EQ(p.pool, &rt.pool());
+  EXPECT_EQ(p.plane, &rt.obs());
+}
+
 }  // namespace
 }  // namespace lls

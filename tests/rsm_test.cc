@@ -136,6 +136,29 @@ TEST(KvReplication, AllReplicasConvergeToSameState) {
   }
 }
 
+TEST(KvReplication, DecisionsReachTheStoreWithNoBusSubscribers) {
+  // The state machine's decision path is the engine's direct sink; the
+  // observability bus is a passive tap. With nobody subscribed to the
+  // plane, every command still applies everywhere.
+  Cluster c(5, 6, timely());
+  c.sim.schedule(1 * kSecond, [&]() {
+    for (int k = 0; k < 20; ++k) {
+      c.replicas[static_cast<std::size_t>(k % 5)]->submit(
+          KvOp::kAppend, "k" + std::to_string(k % 3), ".");
+    }
+  });
+  c.sim.start();
+  EXPECT_EQ(c.sim.plane().bus().subscriber_count(), 0u);
+  c.sim.run_until(20 * kSecond);
+  EXPECT_EQ(c.sim.plane().bus().subscriber_count(), 0u);
+  EXPECT_GT(c.sim.plane().bus().count(obs::EventType::kDecide), 0u);
+  const auto digest = c.replicas[0]->store().digest();
+  for (auto* r : c.replicas) {
+    EXPECT_EQ(r->store().applied(), 20u);
+    EXPECT_EQ(r->store().digest(), digest);
+  }
+}
+
 TEST(KvReplication, CallbackFiresWithResult) {
   Cluster c(3, 2, timely());
   std::vector<std::string> reads;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <thread>
 
+#include "net/message.h"
 #include "net/topology.h"
 #include "omega/ce_omega.h"
 #include "rsm/replica.h"
@@ -228,6 +229,58 @@ TEST(UdpRuntime, ElectsLeaderOverLocalhost) {
   EXPECT_EQ(leaders[0], 0u);
   EXPECT_EQ(leaders[1], 0u);
   EXPECT_EQ(leaders[2], 0u);
+}
+
+TEST(UdpRuntime, RefusedFrameDropsAloneNotTheQueueBehindIt) {
+  // Three frames queued in one callback: [small, oversized, small]. The
+  // kernel refuses the middle one (over the UDP datagram limit); only that
+  // frame is lost, the one queued behind it still goes out.
+  class Burst final : public Actor {
+   public:
+    void on_start(Runtime& rt) override {
+      rt.send(1, 0x0901, Bytes(8));
+      rt.send(1, 0x0902, Bytes(kMaxFramePayload + 4096));
+      rt.send(1, 0x0903, Bytes(8));
+    }
+    void on_message(Runtime&, ProcessId, MessageType, BytesView) override {}
+    void on_timer(Runtime&, TimerId) override {}
+  };
+  class Sink final : public Actor {
+   public:
+    void on_start(Runtime&) override {}
+    void on_message(Runtime&, ProcessId, MessageType type,
+                    BytesView) override {
+      if (type == 0x0901) first.store(true);
+      if (type == 0x0902) oversized.store(true);
+      if (type == 0x0903) last.store(true);
+    }
+    void on_timer(Runtime&, TimerId) override {}
+    std::atomic<bool> first{false};
+    std::atomic<bool> oversized{false};
+    std::atomic<bool> last{false};
+  };
+  // Far from ElectsLeaderOverLocalhost's range: ctest runs the two in
+  // parallel processes whose PIDs (and so port bases) are often adjacent.
+  const auto base = static_cast<std::uint16_t>(test_port_base() + 10000);
+  auto sink_owned = std::make_unique<Sink>();
+  Sink& sink = *sink_owned;
+  UdpNodeConfig cfg;
+  cfg.n = 2;
+  cfg.base_port = base;
+  cfg.id = 1;
+  UdpNode receiver(cfg, std::move(sink_owned));
+  receiver.start();  // bound before the sender's first flush
+  cfg.id = 0;
+  UdpNode sender(cfg, std::make_unique<Burst>());
+  sender.start();
+  for (int i = 0; i < 200 && !(sink.first.load() && sink.last.load()); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  sender.stop();
+  receiver.stop();
+  EXPECT_TRUE(sink.first.load());
+  EXPECT_FALSE(sink.oversized.load());
+  EXPECT_TRUE(sink.last.load());
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Sharded multi-group consensus tests: the ShardMap partition contract, the
 // group-envelope wire mux, malformed-envelope rejection at the container
-// boundary, client-burst exactly-once across groups, and an end-to-end
+// boundary, client-burst exactly-once across groups, the replica's two data
+// formats (bare frames at M = 1, envelopes at M > 1), and an end-to-end
 // sharded kv campaign (M = 4, full Nemesis schedule, leader kill allowed).
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,10 +15,11 @@
 #include "common/actor.h"
 #include "net/net_stats.h"
 #include "net/topology.h"
+#include "rsm/replica.h"
 #include "shard/shard_map.h"
-#include "shard/sharded_replica.h"
 #include "sim/campaign.h"
 #include "sim/simulator.h"
+#include "testing_util.h"
 
 namespace lls {
 namespace {
@@ -128,15 +131,15 @@ TEST(ShardedReplica, RejectsMalformedEnvelopes) {
   sc.seed = 11;
   Simulator sim(sc, make_all_timely({500, 2 * kMillisecond}));
 
-  ShardedReplicaConfig src;
-  src.shards = 4;
-  src.replica.cluster_n = 5;
-  std::vector<ShardedKvReplica*> replicas;
+  KvReplicaConfig rc;
+  rc.cluster_n = 5;
+  std::vector<KvReplica*> replicas;
   for (ProcessId p = 0; p < 5; ++p) {
-    replicas.push_back(&sim.emplace_actor<ShardedKvReplica>(
-        p, ShardedKvReplica::Options{.omega = CeOmegaConfig{},
-                                     .consensus = LogConsensusConfig{},
-                                     .sharded = src}));
+    replicas.push_back(&sim.emplace_actor<KvReplica>(
+        p, KvReplica::Options{.omega = CeOmegaConfig{},
+                              .consensus = LogConsensusConfig{},
+                              .replica = rc,
+                              .shards = 4}));
   }
   sim.emplace_actor<EnvelopeInjector>(5);
   sim.start();
@@ -164,15 +167,15 @@ TEST(ShardedReplica, CoalescedClientBurstAppliesExactlyOnceOnEveryGroup) {
   sc.seed = 23;
   Simulator sim(sc, make_all_timely({500, 2 * kMillisecond}));
 
-  ShardedReplicaConfig src;
-  src.shards = kShards;
-  src.replica.cluster_n = 5;
-  std::vector<ShardedKvReplica*> replicas;
+  KvReplicaConfig rc;
+  rc.cluster_n = 5;
+  std::vector<KvReplica*> replicas;
   for (ProcessId p = 0; p < 5; ++p) {
-    replicas.push_back(&sim.emplace_actor<ShardedKvReplica>(
-        p, ShardedKvReplica::Options{.omega = CeOmegaConfig{},
-                                     .consensus = LogConsensusConfig{},
-                                     .sharded = src}));
+    replicas.push_back(&sim.emplace_actor<KvReplica>(
+        p, KvReplica::Options{.omega = CeOmegaConfig{},
+                              .consensus = LogConsensusConfig{},
+                              .replica = rc,
+                              .shards = kShards}));
   }
   ClusterClientConfig cc;
   cc.cluster_n = 5;
@@ -219,6 +222,76 @@ TEST(ShardedReplica, CoalescedClientBurstAppliesExactlyOnceOnEveryGroup) {
     }
     EXPECT_EQ(replicas[p]->envelopes_rejected(), 0u);
   }
+}
+
+// --- one container, two data formats -----------------------------------------
+
+/// What a 5-replica cluster of M-group containers put on the wire while
+/// committing one put per key: frames received by type (summed over
+/// replicas) and the decide-latency histogram names the plane registered.
+struct WireFormatRun {
+  std::uint64_t envelopes = 0;
+  std::uint64_t bare_accepts = 0;
+  std::uint64_t applied = 0;
+  std::set<std::string> decide_histograms;
+};
+
+WireFormatRun run_wire_format(int shards) {
+  SimConfig sc;
+  sc.n = 5;
+  sc.seed = 31;
+  Simulator sim(sc, make_all_timely({500, 2 * kMillisecond}));
+  std::vector<testing::RecvTap*> taps;
+  for (ProcessId p = 0; p < 5; ++p) {
+    auto tap = std::make_unique<testing::RecvTap>(std::make_unique<KvReplica>(
+        KvReplica::Options{.omega = CeOmegaConfig{},
+                           .consensus = LogConsensusConfig{},
+                           .replica = KvReplicaConfig{},
+                           .shards = shards}));
+    taps.push_back(tap.get());
+    sim.set_actor(p, std::move(tap));
+  }
+  sim.schedule(1 * kSecond, [&]() {
+    for (int k = 0; k < 16; ++k) {
+      taps[1]->inner_as<KvReplica>().submit(KvOp::kPut,
+                                            "k" + std::to_string(k), "v");
+    }
+  });
+  sim.start();
+  sim.run_until(10 * kSecond);
+  WireFormatRun out;
+  for (auto* tap : taps) {
+    out.envelopes += tap->seen(msg_type::kGroupEnvelope).count;
+    out.bare_accepts += tap->seen(msg_type::kAccept).count;
+    out.applied += tap->inner_as<KvReplica>().applied_count();
+  }
+  for (const auto& [name, hist] : sim.plane().registry().histograms()) {
+    if (name.rfind("consensus_decide_latency_ms", 0) == 0) {
+      out.decide_histograms.insert(name);
+    }
+  }
+  return out;
+}
+
+TEST(Replica, OneGroupSpeaksBareConsensusFrames) {
+  // M = 1 is the paper's single-log stack byte for byte: no envelope on the
+  // wire, and the un-suffixed decide-latency histogram only.
+  const WireFormatRun run = run_wire_format(1);
+  EXPECT_EQ(run.applied, 5u * 16u);
+  EXPECT_EQ(run.envelopes, 0u);
+  EXPECT_GT(run.bare_accepts, 0u);
+  EXPECT_EQ(run.decide_histograms,
+            std::set<std::string>{"consensus_decide_latency_ms"});
+}
+
+TEST(Replica, SeveralGroupsEnvelopeEveryConsensusFrame) {
+  const WireFormatRun run = run_wire_format(2);
+  EXPECT_EQ(run.applied, 5u * 16u);
+  EXPECT_GT(run.envelopes, 0u);
+  EXPECT_EQ(run.bare_accepts, 0u);
+  EXPECT_EQ(run.decide_histograms,
+            (std::set<std::string>{"consensus_decide_latency_ms_shard0",
+                                   "consensus_decide_latency_ms_shard1"}));
 }
 
 // --- end-to-end: sharded kv campaign under Nemesis with a leader kill -------

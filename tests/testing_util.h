@@ -1,8 +1,11 @@
 // Test doubles shared by the unit-test suites.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/actor.h"
@@ -90,6 +93,44 @@ class FakeRuntime final : public Runtime {
   std::map<TimerId, TimePoint> timers_;
   TimerId next_timer_ = 1;
   Rng rng_;
+};
+
+/// Transparent wrapper: forwards every callback to an owned inner actor
+/// and records, per received message type, the frame count and the largest
+/// payload seen — a receive-side tap for wire-format assertions.
+class RecvTap final : public Actor {
+ public:
+  struct Seen {
+    std::uint64_t count = 0;
+    std::size_t max_bytes = 0;
+  };
+
+  explicit RecvTap(std::unique_ptr<Actor> inner) : inner_(std::move(inner)) {}
+
+  void on_start(Runtime& rt) override { inner_->on_start(rt); }
+  void on_message(Runtime& rt, ProcessId src, MessageType type,
+                  BytesView payload) override {
+    Seen& s = seen_[type];
+    ++s.count;
+    s.max_bytes = std::max(s.max_bytes, payload.size());
+    inner_->on_message(rt, src, type, payload);
+  }
+  void on_timer(Runtime& rt, TimerId timer) override {
+    inner_->on_timer(rt, timer);
+  }
+
+  template <typename T>
+  T& inner_as() {
+    return static_cast<T&>(*inner_);
+  }
+  [[nodiscard]] Seen seen(MessageType type) const {
+    auto it = seen_.find(type);
+    return it == seen_.end() ? Seen{} : it->second;
+  }
+
+ private:
+  std::unique_ptr<Actor> inner_;
+  std::map<MessageType, Seen> seen_;
 };
 
 }  // namespace lls::testing

@@ -51,6 +51,7 @@ namespace {
       "400)\n"
       "  --kv-keys=<int>       kv scenario: distinct keys (default 8)\n"
       "  --shards=<int>        kv scenario: consensus groups per replica\n"
+      "                        (default 1)\n"
       "  --lease-reads         kv scenario: leader leases + local reads,\n"
       "                        crash budget spent on the leaseholder at\n"
       "                        lease-valid instants\n"
@@ -58,7 +59,6 @@ namespace {
       "                        read; campaign must then FAIL (exactly one\n"
       "                        linearizability violation)\n"
       "  --lease-duration-ms=D lease window (default 200)\n"
-      "                        (default 0 = legacy unsharded stack)\n"
       "  --lin-max-nodes=<u64> linearizability search budget per partition\n"
       "  --hist=<path>         kv scenario: record the client history (.hist)\n"
       "  --trace=<path>        dump each run's control-plane trace (JSONL)\n"
@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
     usage();
   }
   if (config.n < 3) usage("--n must be >= 3");
-  if (config.shards < 0) usage("--shards must be >= 0");
+  if (config.shards < 1) usage("--shards must be >= 1");
   if (config.quiesce >= config.horizon) usage("--quiesce-ms must precede --horizon-ms");
 
   if (soak_ms > 0) return run_soak_mode(soak, json_path);

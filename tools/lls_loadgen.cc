@@ -38,7 +38,6 @@
 #include "rsm/history.h"
 #include "rsm/replica.h"
 #include "runtime/udp_runtime.h"
-#include "shard/sharded_replica.h"
 
 using namespace lls;
 using namespace lls::bench;
@@ -49,7 +48,6 @@ struct CliOptions {
   LoadgenConfig load;
   std::vector<std::size_t> batches{1};
   bool udp = false;
-  bool batch_io = true;  ///< UDP mode: sendmmsg/recvmmsg coalescing
   std::vector<int> shard_sweep;  ///< UDP mode: run once per shard count
   std::uint16_t udp_base_port = 47400;
   std::uint16_t stats_port = 0;  ///< UDP mode: replica 0's scrape port
@@ -69,7 +67,7 @@ void usage(const char* argv0) {
       "  --value-size=B             written value bytes\n"
       "  --batches=1,8,32           replica max_batch sweep\n"
       "  --shards=M                 host M consensus groups per replica\n"
-      "                             (default 0 = legacy unsharded stack)\n"
+      "                             (default 1)\n"
       "  --max-inflight=W           per-group proposer pipeline window\n"
       "                             (default 0 = unbounded)\n"
       "  --no-coalesce              one wire message per client attempt\n"
@@ -90,8 +88,6 @@ void usage(const char* argv0) {
       "  --seed=S\n"
       "  --out=PATH                 write results as JSON (--json= alias)\n"
       "  --udp [--udp-base-port=P]  run over UDP sockets instead of the sim\n"
-      "  --no-batch-io              UDP mode: one syscall per datagram\n"
-      "                             (disables sendmmsg/recvmmsg coalescing)\n"
       "  --shard-sweep=1,2,4        UDP mode: run the workload once per\n"
       "                             shard count (throughput scaling sweep)\n"
       "  --stats-port=P             UDP mode: replica 0 serves /metrics on P\n",
@@ -166,7 +162,6 @@ bool parse_args(int argc, char** argv, CliOptions* opt) {
   opt->load.seed = flags.u64("seed", opt->load.seed);
   opt->json_path = flags.out();
   opt->udp = flags.flag("udp");
-  opt->batch_io = !flags.flag("no-batch-io");
   for (std::uint64_t m : flags.u64_list("shard-sweep", {})) {
     opt->shard_sweep.push_back(static_cast<int>(m));
   }
@@ -181,9 +176,15 @@ bool parse_args(int argc, char** argv, CliOptions* opt) {
     std::fprintf(stderr, "--n and --clients must be positive\n");
     return false;
   }
-  if (opt->load.shards < 0) {
-    std::fprintf(stderr, "--shards must be >= 0\n");
+  if (opt->load.shards < 1) {
+    std::fprintf(stderr, "--shards must be >= 1\n");
     return false;
+  }
+  for (int m : opt->shard_sweep) {
+    if (m < 1) {
+      std::fprintf(stderr, "--shard-sweep counts must be >= 1\n");
+      return false;
+    }
   }
   return true;
 }
@@ -428,10 +429,8 @@ UdpRunStats run_udp_once(const CliOptions& opt, int shards,
                          std::uint16_t base_port) {
   const int cluster_n = opt.load.cluster_n;
   const int n = cluster_n + opt.load.clients;
-  std::printf("lls_loadgen (udp): n=%d clients=%d shards=%d base_port=%u "
-              "batch_io=%s\n\n",
-              cluster_n, opt.load.clients, shards, base_port,
-              opt.batch_io ? "on" : "off");
+  std::printf("lls_loadgen (udp): n=%d clients=%d shards=%d base_port=%u\n\n",
+              cluster_n, opt.load.clients, shards, base_port);
 
   std::vector<std::unique_ptr<UdpNode>> nodes;
   for (ProcessId p = 0; p < static_cast<ProcessId>(cluster_n); ++p) {
@@ -452,28 +451,20 @@ UdpRunStats run_udp_once(const CliOptions& opt, int shards,
     nc.n = n;
     nc.base_port = base_port;
     nc.seed = opt.load.seed + p;
-    nc.batch_io = opt.batch_io;
     if (p == 0) nc.stats_port = opt.stats_port;
     CeOmegaConfig oc;
     oc.lease_duration = opt.load.lease_reads ? opt.load.lease_duration : 0;
-    std::unique_ptr<Actor> actor;
-    if (shards > 0) {
-      ShardedReplicaConfig sc;
-      sc.shards = shards;
-      sc.replica = rc;
-      actor = std::make_unique<ShardedKvReplica>(ShardedKvReplica::Options{
-          .omega = oc, .consensus = lc, .sharded = sc});
-    } else {
-      actor = std::make_unique<KvReplica>(KvReplica::Options{
-          .omega = oc, .consensus = lc, .replica = rc});
-    }
-    nodes.push_back(std::make_unique<UdpNode>(nc, std::move(actor)));
+    nodes.push_back(std::make_unique<UdpNode>(
+        nc, std::make_unique<KvReplica>(KvReplica::Options{.omega = oc,
+                                                           .consensus = lc,
+                                                           .replica = rc,
+                                                           .shards = shards})));
   }
   for (int c = 0; c < opt.load.clients; ++c) {
     ClusterClientConfig cc;
     cc.cluster_n = cluster_n;
     cc.window = static_cast<std::size_t>(opt.load.closed_outstanding);
-    cc.shards = shards > 0 ? shards : 1;
+    cc.shards = shards;
     cc.coalesce = opt.load.coalesce;
     cc.lease_reads = opt.load.lease_reads;
     UdpNodeConfig nc;
@@ -481,7 +472,6 @@ UdpRunStats run_udp_once(const CliOptions& opt, int shards,
     nc.n = n;
     nc.base_port = base_port;
     nc.seed = opt.load.seed + 1000 + static_cast<std::uint64_t>(c);
-    nc.batch_io = opt.batch_io;
     nodes.push_back(std::make_unique<UdpNode>(
         nc, std::make_unique<ClusterClient>(cc)));
   }
@@ -588,16 +578,10 @@ UdpRunStats run_udp_once(const CliOptions& opt, int shards,
   }
   std::uint64_t reads_local = 0, reads_ordered = 0;
   for (ProcessId p = 0; p < static_cast<ProcessId>(cluster_n); ++p) {
-    Actor& a = nodes[static_cast<std::size_t>(p)]->actor();
-    if (shards > 0) {
-      auto& r = static_cast<ShardedKvReplica&>(a);
-      reads_local += r.reads_local();
-      reads_ordered += r.reads_ordered();
-    } else {
-      auto& r = static_cast<KvReplica&>(a);
-      reads_local += r.reads_local();
-      reads_ordered += r.reads_ordered();
-    }
+    auto& r =
+        static_cast<KvReplica&>(nodes[static_cast<std::size_t>(p)]->actor());
+    reads_local += r.reads_local();
+    reads_ordered += r.reads_ordered();
   }
   const double secs = static_cast<double>(duration_ms) / 1e3;
   std::printf("acked %llu  timed_out %llu  retries %llu  redirects %llu\n",
@@ -714,7 +698,6 @@ int run_udp(const CliOptions& opt) {
     json.key("write_ratio").value(opt.load.write_ratio);
     json.key("value_size").value(opt.load.value_size);
     json.key("duration_ms").value(opt.load.duration / kMillisecond);
-    json.key("batch_io").value(opt.batch_io);
     json.key("max_batch").value(opt.batches.front());
     json.key("seed").value(opt.load.seed);
     json.end_object();
