@@ -281,16 +281,22 @@ void BM_RngNextU64(benchmark::State& state) {
 }
 BENCHMARK(BM_RngNextU64);
 
+/// A small mixed-field record for the codec round trip.
+struct RoundTripRecord {
+  std::uint64_t id = 0;
+  std::uint32_t tag = 0;
+  std::string text;
+
+  LLS_WIRE_FIELDS(RoundTripRecord, id, tag, text)
+};
+
 void BM_SerializationRoundTrip(benchmark::State& state) {
+  const RoundTripRecord record{123456789, 42, "key-value-payload"};
   for (auto _ : state) {
-    BufWriter w(64);
-    w.put<std::uint64_t>(123456789);
-    w.put<std::uint32_t>(42);
-    w.put_string("key-value-payload");
-    BufReader r(w.view());
-    benchmark::DoNotOptimize(r.get<std::uint64_t>());
-    benchmark::DoNotOptimize(r.get<std::uint32_t>());
-    benchmark::DoNotOptimize(r.get_string());
+    RoundTripRecord d = RoundTripRecord::decode(record.encode());
+    benchmark::DoNotOptimize(d.id);
+    benchmark::DoNotOptimize(d.tag);
+    benchmark::DoNotOptimize(d.text);
   }
 }
 BENCHMARK(BM_SerializationRoundTrip);

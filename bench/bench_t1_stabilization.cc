@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "common/metrics.h"
+#include "obs/histogram.h"
 #include "omega/experiment.h"
 
 using namespace lls;
@@ -31,7 +31,7 @@ int main() {
     int stabilized = 0;
     int correct_leader = 0;
     int efficient = 0;
-    Summary stab_ms;
+    obs::Histogram stab_ms;
     for (std::uint64_t seed : kSeeds) {
       auto source = static_cast<ProcessId>(row.n - 1);
       auto exp = default_system_s_experiment(row.n, seed, source);

@@ -1,26 +1,20 @@
-// Lightweight metrics: counters, bucketed time series and summaries.
+// Lightweight metrics: counters and bucketed time series.
 //
 // The benchmark harness reconstructs the paper's claims from these: e.g.
 // "eventually only one process sends messages" is checked by reading the
 // per-process send counters over trailing time buckets.
 //
-// Named-metric registration and the streaming histogram now live in the
-// unified observability plane (src/obs): obs::Registry replaced the old
-// MetricsRegistry, and Summary below is a compatibility shim over
-// obs::Histogram — same call surface (record/count/mean/min/max/stddev/
-// percentile), but O(1) per record and bounded memory instead of storing
-// every sample and sorting per percentile call.
+// Named-metric registration and the streaming histogram (for latency
+// summaries) live in the unified observability plane (src/obs):
+// obs::Registry and obs::Histogram.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
-#include "obs/histogram.h"
-#include "obs/registry.h"
 
 namespace lls {
 
@@ -65,22 +59,6 @@ class TimeSeries {
  private:
   Duration width_;
   std::vector<std::uint64_t> buckets_;
-};
-
-/// Compatibility shim: the old store-everything Summary, re-based on the
-/// streaming obs::Histogram. Percentiles are now approximate (log-bucketed,
-/// ≤ ~3.2% relative error; min and max stay exact). stddev keeps the old
-/// sample (n-1) convention.
-class Summary : public obs::Histogram {
- public:
-  [[nodiscard]] double stddev() const {
-    const std::uint64_t n = count();
-    if (n < 2) return 0;
-    const double m = mean();
-    const double var =
-        (sum_sq() - static_cast<double>(n) * m * m) / static_cast<double>(n - 1);
-    return var > 0 ? std::sqrt(var) : 0;
-  }
 };
 
 }  // namespace lls

@@ -1,16 +1,18 @@
-// Minimal bounds-checked little-endian binary serialization.
+// Bounds-checked little-endian binary primitives under the wire codec.
 //
 // Payloads are exchanged only between instances of this library, so a wire
 // format mismatch is a programming error: BufReader throws SerializationError
 // on underflow rather than returning error codes, keeping protocol decode
 // paths linear and readable.
 //
-// Two writers share the same byte layout:
-//   * BufWriter appends to an owned, growing vector — for cold paths and
-//     encoders whose size is unknown up front.
+// One writer, one reader, both driven by net/wire.h's LLS_WIRE_FIELDS
+// visitors (code elsewhere declares field lists rather than calling these
+// directly):
 //   * FlatWriter cursors over a preallocated, exactly-sized slab (sized by
-//     wire::Measurer) — the hot path: one sized allocation (or a pooled
-//     buffer), then fixed-width memcpy-style stores.
+//     wire::Measurer): one sized allocation (or a pooled buffer), then
+//     fixed-width memcpy-style stores.
+//   * BufReader reads from a non-owned view, copying (get_bytes,
+//     get_string) or borrowing (get_view).
 #pragma once
 
 #include <bit>
@@ -21,7 +23,6 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
 #include "common/bytes.h"
 
@@ -77,50 +78,6 @@ template <typename T>
 }
 }  // namespace detail
 
-/// Appends little-endian encodings to an owned byte vector.
-class BufWriter {
- public:
-  BufWriter() = default;
-  explicit BufWriter(std::size_t reserve) { buf_.reserve(reserve); }
-
-  template <typename T>
-    requires std::is_integral_v<T> || std::is_enum_v<T>
-  void put(T value) {
-    using U = detail::wire_unsigned_t<T>;
-    std::size_t at = buf_.size();
-    buf_.resize(at + sizeof(U));
-    detail::store_le(buf_.data() + at, value);
-  }
-
-  void put_bytes(BytesView bytes) {
-    put(static_cast<std::uint32_t>(bytes.size()));
-    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-  }
-
-  void put_string(std::string_view s) {
-    put(static_cast<std::uint32_t>(s.size()));
-    if (!s.empty()) {
-      std::size_t at = buf_.size();
-      buf_.resize(at + s.size());
-      std::memcpy(buf_.data() + at, s.data(), s.size());
-    }
-  }
-
-  template <typename T>
-    requires std::is_integral_v<T>
-  void put_vec(const std::vector<T>& v) {
-    put(static_cast<std::uint32_t>(v.size()));
-    for (T x : v) put(x);
-  }
-
-  [[nodiscard]] const Bytes& bytes() const { return buf_; }
-  [[nodiscard]] Bytes take() { return std::move(buf_); }
-  [[nodiscard]] BytesView view() const { return buf_; }
-
- private:
-  Bytes buf_;
-};
-
 /// Writes little-endian encodings into a preallocated slab. The caller
 /// sizes the slab exactly (wire::measure); overrun is a programming error
 /// caught by debug asserts, and wire::encode_to additionally asserts the
@@ -139,30 +96,18 @@ class FlatWriter {
     pos_ += sizeof(U);
   }
 
-  void put_raw(BytesView bytes) {
-    assert(pos_ + bytes.size() <= size_);
-    if (!bytes.empty()) {
-      std::memcpy(data_ + pos_, bytes.data(), bytes.size());
-      pos_ += bytes.size();
-    }
-  }
-
   void put_bytes(BytesView bytes) {
     put(static_cast<std::uint32_t>(bytes.size()));
-    put_raw(bytes);
+    assert(pos_ + bytes.size() <= size_);
+    if (!bytes.empty()) std::memcpy(data_ + pos_, bytes.data(), bytes.size());
+    pos_ += bytes.size();
   }
 
   void put_string(std::string_view s) {
-    put(static_cast<std::uint32_t>(s.size()));
-    assert(pos_ + s.size() <= size_);
-    if (!s.empty()) {
-      std::memcpy(data_ + pos_, s.data(), s.size());
-      pos_ += s.size();
-    }
+    put_bytes(std::as_bytes(std::span(s)));
   }
 
   [[nodiscard]] std::size_t written() const { return pos_; }
-  [[nodiscard]] std::size_t capacity() const { return size_; }
 
  private:
   std::byte* data_;
@@ -185,18 +130,9 @@ class BufReader {
     return out;
   }
 
-  Bytes get_bytes() {
-    auto len = get<std::uint32_t>();
-    require(len);
-    Bytes out(view_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              view_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-    pos_ += len;
-    return out;
-  }
-
-  /// Zero-copy variant of get_bytes: borrows the length-prefixed span from
-  /// the underlying buffer. The view is only valid while that buffer lives
-  /// — wrap it in WireBlob::ref so debug builds track the lifetime.
+  /// Borrows the next length-prefixed span from the underlying buffer. The
+  /// view is only valid while that buffer lives — wrap it in WireBlob::ref
+  /// so debug builds track the lifetime.
   BytesView get_view() {
     auto len = get<std::uint32_t>();
     require(len);
@@ -205,27 +141,15 @@ class BufReader {
     return out;
   }
 
-  std::string get_string() {
-    auto len = get<std::uint32_t>();
-    require(len);
-    std::string out;
-    out.resize(len);
-    if (len > 0) std::memcpy(out.data(), view_.data() + pos_, len);
-    pos_ += len;
-    return out;
+  /// Copying variants of get_view.
+  Bytes get_bytes() {
+    BytesView v = get_view();
+    return Bytes(v.begin(), v.end());
   }
 
-  template <typename T>
-    requires std::is_integral_v<T>
-  std::vector<T> get_vec() {
-    auto len = get<std::uint32_t>();
-    std::vector<T> out;
-    // The count is untrusted input: cap the reservation by what the buffer
-    // could possibly hold, so a lying header cannot trigger a huge
-    // allocation before the bounds check throws.
-    out.reserve(std::min<std::size_t>(len, remaining() / sizeof(T)));
-    for (std::uint32_t i = 0; i < len; ++i) out.push_back(get<T>());
-    return out;
+  std::string get_string() {
+    BytesView v = get_view();
+    return {reinterpret_cast<const char*>(v.data()), v.size()};
   }
 
   [[nodiscard]] std::size_t remaining() const { return view_.size() - pos_; }

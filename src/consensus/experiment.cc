@@ -4,17 +4,20 @@
 
 namespace lls {
 
-Bytes make_value(std::uint64_t id) {
-  Bytes out(sizeof(id));
-  FlatWriter w(out);
-  w.put(id);
-  return out;
-}
+namespace {
 
-std::uint64_t value_id(const Bytes& value) {
-  BufReader r(value);
-  return r.get<std::uint64_t>();
-}
+/// An experiment value: the u64 id the bookkeeping tracks it by.
+struct ValueId {
+  std::uint64_t id = 0;
+
+  LLS_WIRE_FIELDS(ValueId, id)
+};
+
+}  // namespace
+
+Bytes make_value(std::uint64_t id) { return ValueId{id}.encode(); }
+
+std::uint64_t value_id(BytesView value) { return ValueId::decode(value).id; }
 
 ConsensusResult run_consensus_experiment(const ConsensusExperiment& exp) {
   SimConfig config;
@@ -50,9 +53,7 @@ ConsensusResult run_consensus_experiment(const ConsensusExperiment& exp) {
   obs::Subscription decide_sub = sim.plane().bus().subscribe(
       obs::mask_of(obs::EventType::kDecide), [&](const obs::Event& e) {
         if (e.payload.empty()) return;  // no-op filler
-        BufReader r(e.payload);
-        std::uint64_t id = r.get<std::uint64_t>();
-        decided_at[id].emplace(e.process, sim.now());
+        decided_at[value_id(e.payload)].emplace(e.process, sim.now());
         last_decide_event = std::max(last_decide_event, sim.now());
       });
 

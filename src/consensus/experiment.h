@@ -13,10 +13,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/metrics.h"
 #include "consensus/node.h"
 #include "consensus/rotating_consensus.h"
 #include "net/link.h"
+#include "obs/histogram.h"
 #include "sim/simulator.h"
 
 namespace lls {
@@ -61,8 +61,8 @@ struct ConsensusResult {
   bool all_decided = false;
 
   // Performance.
-  Summary latency_first;  ///< propose -> first process decides (us)
-  Summary latency_all;    ///< propose -> all correct processes decide (us)
+  obs::Histogram latency_first;  ///< propose -> first process decides (us)
+  obs::Histogram latency_all;  ///< propose -> all correct processes decide (us)
   std::uint64_t total_msgs = 0;
   /// Consensus-class messages per decided value (excludes Omega heartbeats,
   /// which are accounted separately — see the T2 benchmark).
@@ -82,6 +82,6 @@ ConsensusResult run_consensus_experiment(const ConsensusExperiment& exp);
 
 /// Workload value codec: unique, self-describing payloads.
 Bytes make_value(std::uint64_t id);
-std::uint64_t value_id(const Bytes& value);
+std::uint64_t value_id(BytesView value);
 
 }  // namespace lls

@@ -38,21 +38,7 @@ void LogConsensus::persist(Runtime& rt) const {
   if (storage == nullptr) {
     throw std::logic_error("durable LogConsensus requires Runtime::storage()");
   }
-  Bytes acceptor_blob = acceptor_.encode();
-  std::size_t size = 4 + acceptor_blob.size() + sizeof(Instance) + 4;
-  for (const auto& slot : log_) {
-    size += 1 + (slot.has_value() ? 4 + slot->size() : 0);
-  }
-  Bytes out(size);
-  FlatWriter w(out);
-  w.put_bytes(acceptor_blob);
-  w.put(log_base_);
-  w.put(static_cast<std::uint32_t>(log_.size()));
-  for (const auto& slot : log_) {
-    w.put(static_cast<std::uint8_t>(slot.has_value() ? 1 : 0));
-    if (slot.has_value()) w.put_bytes(*slot);
-  }
-  storage->write(durable_key_, out);
+  storage->write(durable_key_, state_.encode());
 }
 
 void LogConsensus::restore(Runtime& rt) {
@@ -73,23 +59,12 @@ void LogConsensus::restore(Runtime& rt) {
   }
   auto blob = storage->read(durable_key_);
   if (!blob.has_value()) return;  // first boot
-  BufReader r(*blob);
-  acceptor_ = Acceptor::decode(r.get_bytes());
-  log_base_ = r.get<Instance>();
-  auto count = r.get<std::uint32_t>();
-  log_.clear();
-  log_.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    if (r.get<std::uint8_t>() != 0) {
-      log_.emplace_back(r.get_bytes());
-    } else {
-      log_.emplace_back(std::nullopt);
-    }
-  }
-  highest_seen_round_ = std::max(highest_seen_round_, acceptor_.promised());
+  state_ = LogState::decode(*blob);
+  highest_seen_round_ =
+      std::max(highest_seen_round_, state_.acceptor.promised());
   // Re-deliver decisions for the restored contiguous prefix so a recovering
   // application can rebuild its state machine.
-  next_notify_ = log_base_;
+  next_notify_ = state_.base;
   while (next_notify_ < log_size() && decided_value(next_notify_) != nullptr) {
     const Bytes& v = *decided_value(next_notify_);
     Instance idx = next_notify_;
@@ -181,7 +156,8 @@ void LogConsensus::start_prepare(Runtime& rt) {
   // state changes before this point, and drive()'s retry loop re-attempts
   // once the window lapses.
   if (fenced_against(self_, rt.now())) return;
-  Round bound = std::max({highest_seen_round_, acceptor_.promised(), my_round_});
+  Round bound =
+      std::max({highest_seen_round_, state_.acceptor.promised(), my_round_});
   my_round_ = next_ballot(self_, n_, bound);
   preparing_ = true;
   promises_.clear();
@@ -189,9 +165,10 @@ void LogConsensus::start_prepare(Runtime& rt) {
   prepare_from_ = first_undecided();
 
   // Self-promise: raise the local acceptor's promise and merge its state.
-  acceptor_.on_prepare(my_round_);
+  state_.acceptor.on_prepare(my_round_);
   promises_.insert(self_);
-  for (const auto& [i, pair] : acceptor_.all_accepted()) {
+  for (const auto& pair : state_.acceptor.all_accepted()) {
+    const Instance i = pair.instance;
     if (i >= prepare_from_ && !is_decided(i)) promise_merge_[i] = pair;
   }
   if (static_cast<int>(promises_.size()) >= majority()) {
@@ -232,14 +209,14 @@ void LogConsensus::become_ready(Runtime& rt) {
   // becomes decidable, and re-propose every merged value at my round.
   for (Instance i = first_undecided(); i < next_free_; ++i) {
     if (is_decided(i) || promise_merge_.contains(i)) continue;
-    promise_merge_[i] = Acceptor::AcceptedPair{kNoRound, Bytes{}};
+    promise_merge_[i] = Acceptor::AcceptedPair{i, kNoRound, Bytes{}};
   }
   for (auto& [i, pair] : promise_merge_) {
     if (is_decided(i)) continue;
     InFlight inf;
     inf.value = pair.value;
     inf.acks.insert(self_);
-    acceptor_.on_accept(my_round_, i, inf.value);
+    state_.acceptor.on_accept(my_round_, i, inf.value);
     inflight_[i] = std::move(inf);
     accept_started_.try_emplace(i, rt.now());
     for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
@@ -251,7 +228,7 @@ void LogConsensus::become_ready(Runtime& rt) {
   // Re-disseminate every decision this leader still holds (compacted
   // entries are gone by contract): a new leader owes the followers the
   // decided prefix (their acks prune this quickly).
-  for (Instance i = log_base_; i < log_size(); ++i) {
+  for (Instance i = state_.base; i < log_size(); ++i) {
     if (decided_value(i) == nullptr) continue;
     auto& unacked = decide_unacked_[i];
     for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
@@ -274,7 +251,7 @@ void LogConsensus::assign_pending(Runtime& rt) {
     InFlight inf;
     inf.value = std::move(value);
     inf.acks.insert(self_);
-    acceptor_.on_accept(my_round_, i, inf.value);
+    state_.acceptor.on_accept(my_round_, i, inf.value);
     inflight_[i] = std::move(inf);
     accept_started_.try_emplace(i, rt.now());
     for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
@@ -351,11 +328,11 @@ void LogConsensus::abdicate() {
 }
 
 void LogConsensus::learn(Runtime& rt, Instance i, BytesView value) {
-  if (i < log_base_) return;  // compacted: decided long ago
-  Instance rel = i - log_base_;
-  if (rel >= log_.size()) log_.resize(rel + 1);
-  if (log_[rel].has_value()) {
-    if (!bytes_equal(*log_[rel], value)) {
+  if (i < state_.base) return;  // compacted: decided long ago
+  Instance rel = i - state_.base;
+  if (rel >= state_.log.size()) state_.log.resize(rel + 1);
+  if (state_.log[rel].has_value()) {
+    if (!bytes_equal(*state_.log[rel], value)) {
       // Agreement tripwire: two different values decided for one instance
       // would falsify Paxos safety; fail loudly.
       throw std::logic_error("consensus agreement violated at instance " +
@@ -374,7 +351,7 @@ void LogConsensus::learn(Runtime& rt, Instance i, BytesView value) {
     }
     return;
   }
-  log_[rel] = Bytes(value.begin(), value.end());
+  state_.log[rel] = Bytes(value.begin(), value.end());
   if (auto it = inflight_.find(i); it != inflight_.end()) {
     // The instance decided against a different value: another leader won
     // the slot while ours was in flight (e.g. this proposer was partitioned
@@ -478,7 +455,7 @@ void LogConsensus::handle_prepare(Runtime& rt, ProcessId src,
   // Compaction guard: a candidate whose log frontier is below our compaction
   // watermark is missing decisions whose values this acceptor can no longer
   // report (both the decided entry and the accepted pair are gone below
-  // log_base_). Promising anyway would let it treat those slots as holes and
+  // state_.base). Promising anyway would let it treat those slots as holes and
   // no-op-fill instances that were in fact decided — a quorum-invisible
   // agreement violation. Refusing keeps the intersection argument intact:
   // any quorum that does promise has every member's watermark <= msg.from,
@@ -486,19 +463,19 @@ void LogConsensus::handle_prepare(Runtime& rt, ProcessId src,
   // The candidate retries each tick and gets through once DECIDE
   // retransmission catches it up (compaction policy must not outrun the
   // slowest live replica — see KvCore::compact_to).
-  if (msg.from < log_base_) return;
+  if (msg.from < state_.base) return;
   highest_seen_round_ = std::max(highest_seen_round_, msg.round);
-  Round before = acceptor_.promised();
-  if (!acceptor_.on_prepare(msg.round)) {
+  Round before = state_.acceptor.promised();
+  if (!state_.acceptor.on_prepare(msg.round)) {
     rt.send(src, msg_type::kNack,
             wire::encode_pooled(rt.pool(),
-                                NackMsg{msg.round, acceptor_.promised()})
+                                NackMsg{msg.round, state_.acceptor.promised()})
                 .view());
     return;
   }
   // The promise is durable state: persist before replying, as a real
   // acceptor must (a reply that outlives the promise breaks safety).
-  if (config_.durable && acceptor_.promised() != before) persist(rt);
+  if (config_.durable && state_.acceptor.promised() != before) persist(rt);
   if (msg.round > my_round_ && (preparing_ || leader_ready_)) abdicate();
   grant_fence(src, msg.round, rt.now());
 
@@ -508,12 +485,12 @@ void LogConsensus::handle_prepare(Runtime& rt, ProcessId src,
   PromiseMsg reply;
   reply.round = msg.round;
   reply.echo_ts = msg.ts;
-  for (const auto& [i, pair] : acceptor_.all_accepted()) {
-    if (i < msg.from || is_decided(i)) continue;
-    reply.entries.push_back(
-        PromiseEntry{i, pair.round, false, WireBlob::ref(pair.value)});
+  for (const auto& pair : state_.acceptor.all_accepted()) {
+    if (pair.instance < msg.from || is_decided(pair.instance)) continue;
+    reply.entries.push_back(PromiseEntry{pair.instance, pair.round, false,
+                                         WireBlob::ref(pair.value)});
   }
-  for (Instance i = std::max(msg.from, log_base_); i < log_size(); ++i) {
+  for (Instance i = std::max(msg.from, state_.base); i < log_size(); ++i) {
     const Bytes* v = decided_value(i);
     if (v != nullptr) {
       reply.entries.push_back(PromiseEntry{i, kNoRound, true, WireBlob::ref(*v)});
@@ -535,8 +512,8 @@ void LogConsensus::handle_promise(Runtime& rt, ProcessId src,
     auto it = promise_merge_.find(e.instance);
     if (it == promise_merge_.end() || e.accepted_round > it->second.round) {
       // promise_merge_ outlives this delivery: materialize the borrow.
-      promise_merge_[e.instance] =
-          Acceptor::AcceptedPair{e.accepted_round, e.value.to_owned()};
+      promise_merge_[e.instance] = Acceptor::AcceptedPair{
+          e.instance, e.accepted_round, e.value.to_owned()};
     }
   }
   promises_.insert(src);
@@ -549,10 +526,10 @@ void LogConsensus::handle_accept(Runtime& rt, ProcessId src,
   // toward everyone but the fence holder.
   if (fenced_against(src, rt.now())) return;
   highest_seen_round_ = std::max(highest_seen_round_, msg.round);
-  if (!acceptor_.on_accept(msg.round, msg.instance, msg.value.view())) {
+  if (!state_.acceptor.on_accept(msg.round, msg.instance, msg.value.view())) {
     rt.send(src, msg_type::kNack,
             wire::encode_pooled(rt.pool(),
-                                NackMsg{msg.round, acceptor_.promised()})
+                                NackMsg{msg.round, state_.acceptor.promised()})
                 .view());
     return;
   }
@@ -569,7 +546,7 @@ void LogConsensus::handle_accept(Runtime& rt, ProcessId src,
   // instance is therefore the chosen value.
   for (Instance j = first_undecided(); j < msg.commit_upto; ++j) {
     if (is_decided(j)) continue;
-    const auto* pair = acceptor_.accepted(j);
+    const auto* pair = state_.acceptor.accepted(j);
     if (pair != nullptr && pair->round == msg.round) learn(rt, j, pair->value);
   }
 }
@@ -628,13 +605,14 @@ Instance LogConsensus::compact(Instance upto) {
   if (!decide_unacked_.empty()) {
     upto = std::min(upto, decide_unacked_.begin()->first);
   }
-  if (upto <= log_base_) return log_base_;
-  log_.erase(log_.begin(),
-             log_.begin() + static_cast<std::ptrdiff_t>(upto - log_base_));
-  log_base_ = upto;
-  acceptor_.forget_upto(upto);
+  if (upto <= state_.base) return state_.base;
+  state_.log.erase(
+      state_.log.begin(),
+      state_.log.begin() + static_cast<std::ptrdiff_t>(upto - state_.base));
+  state_.base = upto;
+  state_.acceptor.forget_upto(upto);
   if (config_.durable && rt_ != nullptr) persist(*rt_);
-  return log_base_;
+  return state_.base;
 }
 
 // ---------------------------------------------------------------------------
@@ -730,7 +708,7 @@ void LogConsensus::handle_forward(ProcessId, const ForwardMsg& msg) {
   for (const auto& [i, inf] : inflight_) {
     if (inf.value == msg.value) return;
   }
-  for (const auto& slot : log_) {
+  for (const auto& slot : state_.log) {
     if (slot.has_value() && *slot == msg.value) return;
   }
   // (Values compacted away cannot be matched any more; the origin's retry

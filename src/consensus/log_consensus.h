@@ -105,6 +105,17 @@ struct LogConsensusConfig {
   LeaseConfig lease;
 };
 
+/// The engine's acceptor and learner state. It is also, field for field,
+/// the durable record a crash-recovery engine persists after every
+/// acceptor or log change and restores at start.
+struct LogState {
+  Acceptor acceptor;
+  Instance base = 0;                      ///< compaction watermark
+  std::vector<std::optional<Bytes>> log;  ///< decided values, offset by base
+
+  LLS_WIRE_FIELDS(LogState, wire::framed(acceptor), base, log)
+};
+
 class LogConsensus final : public ConsensusActor {
  public:
   /// The application's decision path: called once per instance, in instance
@@ -141,7 +152,7 @@ class LogConsensus final : public ConsensusActor {
   /// actually applied.
   Instance compact(Instance upto);
 
-  [[nodiscard]] Instance compacted_upto() const { return log_base_; }
+  [[nodiscard]] Instance compacted_upto() const { return state_.base; }
 
   // Leader lease ------------------------------------------------------------
   /// True iff this process may serve a linearizable read from local state
@@ -167,9 +178,13 @@ class LogConsensus final : public ConsensusActor {
   [[nodiscard]] bool is_leader_ready() const { return leader_ready_; }
   [[nodiscard]] Round current_round() const { return my_round_; }
   [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
-  [[nodiscard]] Instance log_size() const { return log_base_ + log_.size(); }
-  [[nodiscard]] std::size_t log_entries_held() const { return log_.size(); }
-  [[nodiscard]] const Acceptor& acceptor() const { return acceptor_; }
+  [[nodiscard]] Instance log_size() const {
+    return state_.base + state_.log.size();
+  }
+  [[nodiscard]] std::size_t log_entries_held() const {
+    return state_.log.size();
+  }
+  [[nodiscard]] const Acceptor& acceptor() const { return state_.acceptor; }
   [[nodiscard]] ProcessId fence_holder() const { return fence_holder_; }
   [[nodiscard]] TimePoint fence_until() const { return fence_until_; }
   [[nodiscard]] std::uint64_t proposals() const { return proposals_; }
@@ -193,20 +208,22 @@ class LogConsensus final : public ConsensusActor {
   void restore(Runtime& rt);
 
   // Learner-side. The decided log is stored with a compaction offset:
-  // absolute instance i lives at log_[i - log_base_]; everything below
-  // log_base_ is decided-and-discarded.
+  // absolute instance i lives at state_.log[i - state_.base]; everything
+  // below state_.base is decided-and-discarded.
   /// `value` may borrow a receive buffer; learn copies exactly once, at
   /// the point the decided log retains it.
   void learn(Runtime& rt, Instance i, BytesView value);
   [[nodiscard]] bool is_decided(Instance i) const {
-    if (i < log_base_) return true;
-    Instance rel = i - log_base_;
-    return rel < log_.size() && log_[rel].has_value();
+    if (i < state_.base) return true;
+    Instance rel = i - state_.base;
+    return rel < state_.log.size() && state_.log[rel].has_value();
   }
   [[nodiscard]] const Bytes* decided_value(Instance i) const {
-    if (i < log_base_) return nullptr;  // compacted away
-    Instance rel = i - log_base_;
-    if (rel < log_.size() && log_[rel].has_value()) return &*log_[rel];
+    if (i < state_.base) return nullptr;  // compacted away
+    Instance rel = i - state_.base;
+    if (rel < state_.log.size() && state_.log[rel].has_value()) {
+      return &*state_.log[rel];
+    }
     return nullptr;
   }
   [[nodiscard]] Instance first_undecided() const;
@@ -266,10 +283,8 @@ class LogConsensus final : public ConsensusActor {
   /// protocol eagerly instead of waiting for the next tick.
   Runtime* rt_ = nullptr;
 
-  // Acceptor / learner state.
-  Acceptor acceptor_;
-  Instance log_base_ = 0;                  // compaction watermark
-  std::vector<std::optional<Bytes>> log_;  // decided values, offset by base
+  // Acceptor / learner state (durable when config_.durable).
+  LogState state_;
   Instance next_notify_ = 0;
 
   // Proposer state (meaningful only while Omega trusts this process).

@@ -8,12 +8,10 @@
 // pairs, as in classic multi-Paxos.
 #pragma once
 
-#include <map>
-#include <optional>
+#include <algorithm>
 #include <vector>
 
 #include "common/blob.h"
-#include "common/serialization.h"
 #include "consensus/consensus.h"
 #include "net/wire.h"
 
@@ -126,12 +124,17 @@ struct ForwardMsg {
 
 /// The acceptor half of multi-Paxos: one global promise, per-instance
 /// accepted pairs. Pure state machine — no I/O — so its safety rules are
-/// directly unit-testable.
+/// directly unit-testable. Its whole state is durable (crash recovery
+/// persists it inside LogConsensus's record), so its field list is its
+/// storage format.
 class Acceptor {
  public:
   struct AcceptedPair {
+    Instance instance = 0;
     Round round = kNoRound;
     Bytes value;
+
+    LLS_WIRE_FIELDS(AcceptedPair, instance, round, value)
   };
 
   /// Handles a prepare; returns true (promise granted) when round >= the
@@ -148,63 +151,46 @@ class Acceptor {
   bool on_accept(Round round, Instance instance, BytesView value) {
     if (round < promised_) return false;
     promised_ = round;
-    accepted_[instance] = AcceptedPair{round, Bytes(value.begin(), value.end())};
+    auto it = std::lower_bound(accepted_.begin(), accepted_.end(), instance,
+                               before);
+    Bytes owned(value.begin(), value.end());
+    if (it != accepted_.end() && it->instance == instance) {
+      it->round = round;
+      it->value = std::move(owned);
+    } else {
+      accepted_.insert(it, AcceptedPair{instance, round, std::move(owned)});
+    }
     return true;
   }
 
   [[nodiscard]] Round promised() const { return promised_; }
 
   [[nodiscard]] const AcceptedPair* accepted(Instance i) const {
-    auto it = accepted_.find(i);
-    return it == accepted_.end() ? nullptr : &it->second;
+    auto it = std::lower_bound(accepted_.begin(), accepted_.end(), i, before);
+    return it != accepted_.end() && it->instance == i ? &*it : nullptr;
   }
 
-  [[nodiscard]] const std::map<Instance, AcceptedPair>& all_accepted() const {
+  /// Accepted pairs in instance order.
+  [[nodiscard]] const std::vector<AcceptedPair>& all_accepted() const {
     return accepted_;
   }
 
   /// Frees acceptor state at and below a decided prefix (log compaction).
   void forget_upto(Instance i) {
-    accepted_.erase(accepted_.begin(), accepted_.lower_bound(i));
+    accepted_.erase(accepted_.begin(), std::lower_bound(accepted_.begin(),
+                                                        accepted_.end(), i,
+                                                        before));
   }
 
-  /// Crash-recovery support: serialize/restore the durable part of the
-  /// acceptor (its promise and accepted pairs).
-  [[nodiscard]] Bytes encode() const {
-    std::size_t size = sizeof(Round) + 4;
-    for (const auto& [i, pair] : accepted_) {
-      size += sizeof(Instance) + sizeof(Round) + 4 + pair.value.size();
-    }
-    Bytes out(size);
-    FlatWriter w(out);
-    w.put(promised_);
-    w.put(static_cast<std::uint32_t>(accepted_.size()));
-    for (const auto& [i, pair] : accepted_) {
-      w.put(i);
-      w.put(pair.round);
-      w.put_bytes(pair.value);
-    }
-    return out;
-  }
-
-  static Acceptor decode(BytesView payload) {
-    BufReader r(payload);
-    Acceptor a;
-    a.promised_ = r.get<Round>();
-    auto count = r.get<std::uint32_t>();
-    for (std::uint32_t k = 0; k < count; ++k) {
-      Instance i = r.get<Instance>();
-      AcceptedPair pair;
-      pair.round = r.get<Round>();
-      pair.value = r.get_bytes();
-      a.accepted_.emplace(i, std::move(pair));
-    }
-    return a;
-  }
+  LLS_WIRE_FIELDS(Acceptor, promised_, accepted_)
 
  private:
+  static bool before(const AcceptedPair& p, Instance i) {
+    return p.instance < i;
+  }
+
   Round promised_ = kNoRound;
-  std::map<Instance, AcceptedPair> accepted_;
+  std::vector<AcceptedPair> accepted_;  ///< sorted by instance
 };
 
 }  // namespace lls

@@ -21,7 +21,7 @@
 #include <unordered_set>
 
 #include "common/actor.h"
-#include "common/serialization.h"
+#include "net/wire.h"
 
 namespace lls {
 
@@ -61,39 +61,19 @@ class RelayActor final : public Actor {
   /// which relayed algorithms remain communication-efficient).
   [[nodiscard]] std::uint64_t originated() const { return originated_; }
 
- private:
+  /// The relay wire message. The payload borrows: the originating send's
+  /// buffer when encoding, the receive buffer when decoding.
   struct Envelope {
     ProcessId origin = kNoProcess;
     std::uint64_t seq = 0;
     ProcessId dst = kNoProcess;
     MessageType inner_type = 0;
-    Bytes payload;
+    WireBlob payload;
 
-    [[nodiscard]] Bytes encode() const {
-      // Exact-size flat encode: header fields + u32 length + payload.
-      Bytes out(sizeof(origin) + sizeof(seq) + sizeof(dst) +
-                sizeof(inner_type) + 4 + payload.size());
-      FlatWriter w(out);
-      w.put(origin);
-      w.put(seq);
-      w.put(dst);
-      w.put(inner_type);
-      w.put_bytes(payload);
-      return out;
-    }
-
-    static Envelope decode(BytesView view) {
-      BufReader r(view);
-      Envelope e;
-      e.origin = r.get<ProcessId>();
-      e.seq = r.get<std::uint64_t>();
-      e.dst = r.get<ProcessId>();
-      e.inner_type = r.get<MessageType>();
-      e.payload = r.get_bytes();
-      return e;
-    }
+    LLS_WIRE_FIELDS(Envelope, origin, seq, dst, inner_type, payload)
   };
 
+ private:
   /// Runtime wrapper handed to the inner actor: sends become envelope
   /// broadcasts; everything else passes through.
   class RelayRuntime final : public Runtime {

@@ -6,39 +6,6 @@
 
 namespace lls {
 
-Bytes CeOmega::AliveMsg::encode() const {
-  // Fixed-layout message: one exact-size allocation, flat stores.
-  Bytes out(sizeof(counter) + sizeof(phase));
-  FlatWriter w(out);
-  w.put(counter);
-  w.put(phase);
-  return out;
-}
-
-CeOmega::AliveMsg CeOmega::AliveMsg::decode(BytesView payload) {
-  BufReader r(payload);
-  AliveMsg m;
-  m.counter = r.get<std::uint64_t>();
-  m.phase = r.get<std::uint64_t>();
-  return m;
-}
-
-Bytes CeOmega::AccuseMsg::encode() const {
-  Bytes out(sizeof(accused) + sizeof(phase));
-  FlatWriter w(out);
-  w.put(accused);
-  w.put(phase);
-  return out;
-}
-
-CeOmega::AccuseMsg CeOmega::AccuseMsg::decode(BytesView payload) {
-  BufReader r(payload);
-  AccuseMsg m;
-  m.accused = r.get<ProcessId>();
-  m.phase = r.get<std::uint64_t>();
-  return m;
-}
-
 void CeOmega::on_start(Runtime& rt) {
   self_ = rt.id();
   n_ = rt.n();

@@ -29,7 +29,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/serialization.h"
+#include "net/wire.h"
 #include "omega/omega.h"
 
 namespace lls {
@@ -94,23 +94,22 @@ class CeOmega final : public OmegaActor {
   [[nodiscard]] std::uint64_t my_phase() const { return my_phase_; }
   [[nodiscard]] Duration timeout_of(ProcessId q) const { return timeout_[q]; }
 
- private:
+  // Wire messages (layouts declared once; see net/wire.h).
   struct AliveMsg {
     std::uint64_t counter = 0;
     std::uint64_t phase = 0;
 
-    [[nodiscard]] Bytes encode() const;
-    static AliveMsg decode(BytesView payload);
+    LLS_WIRE_FIELDS(AliveMsg, counter, phase)
   };
 
   struct AccuseMsg {
     ProcessId accused = kNoProcess;
     std::uint64_t phase = 0;
 
-    [[nodiscard]] Bytes encode() const;
-    static AccuseMsg decode(BytesView payload);
+    LLS_WIRE_FIELDS(AccuseMsg, accused, phase)
   };
 
+ private:
   /// Effective election key of q as seen locally.
   [[nodiscard]] std::uint64_t key_counter(ProcessId q) const {
     return acc_[q] + prov_[q];

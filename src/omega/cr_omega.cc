@@ -10,32 +10,6 @@ namespace {
 constexpr const char* kIncarnationKey = "cr_omega/incarnation";
 constexpr const char* kLeaderKey = "cr_omega/leader";
 
-Bytes encode_u64(std::uint64_t x) {
-  Bytes out(sizeof(x));
-  FlatWriter w(out);
-  w.put(x);
-  return out;
-}
-
-std::uint64_t decode_u64(BytesView v) {
-  BufReader r(v);
-  return r.get<std::uint64_t>();
-}
-
-Bytes encode_leader_msg(const std::vector<std::uint64_t>& recovered) {
-  // Exact size: u32 count + 8 bytes per element (matches get_vec's layout).
-  Bytes out(4 + recovered.size() * 8);
-  FlatWriter w(out);
-  w.put(static_cast<std::uint32_t>(recovered.size()));
-  for (std::uint64_t x : recovered) w.put(x);
-  return out;
-}
-
-std::vector<std::uint64_t> decode_leader_msg(BytesView v) {
-  BufReader r(v);
-  return r.get_vec<std::uint64_t>();
-}
-
 /// Lexicographic "q is at least as good a leader as l" on (count, id).
 bool at_least_as_good(std::uint64_t cq, ProcessId q, std::uint64_t cl,
                       ProcessId l) {
@@ -65,16 +39,17 @@ void CrOmegaStable::on_start(Runtime& rt) {
   // incarnation, and start from the stored leader.
   auto stored_incarnation = storage->read(kIncarnationKey);
   if (!stored_incarnation.has_value()) {
-    storage->write(kIncarnationKey, encode_u64(0));
-    storage->write(kLeaderKey, encode_u64(self_));
+    storage->write(kIncarnationKey, CrStoredValue{0}.encode());
+    storage->write(kLeaderKey, CrStoredValue{self_}.encode());
     stored_incarnation = storage->read(kIncarnationKey);
   }
-  incarnation_ = decode_u64(*stored_incarnation) + 1;
-  storage->write(kIncarnationKey, encode_u64(incarnation_));
-  leader_ = static_cast<ProcessId>(decode_u64(*storage->read(kLeaderKey)));
+  incarnation_ = CrStoredValue::decode(*stored_incarnation).value + 1;
+  storage->write(kIncarnationKey, CrStoredValue{incarnation_}.encode());
+  leader_ = static_cast<ProcessId>(
+      CrStoredValue::decode(*storage->read(kLeaderKey)).value);
 
-  recovered_.assign(static_cast<std::size_t>(n_), 0);
-  recovered_[self_] = incarnation_;
+  leader_msg_.recovered.assign(static_cast<std::size_t>(n_), 0);
+  leader_msg_.recovered[self_] = incarnation_;
   Duration scaled =
       config_.eta + static_cast<Duration>(incarnation_) * config_.incarnation_step;
   timeout_.assign(static_cast<std::size_t>(n_), scaled);
@@ -90,7 +65,7 @@ void CrOmegaStable::on_start(Runtime& rt) {
 }
 
 void CrOmegaStable::send_leader_msg(Runtime& rt) {
-  Bytes payload = encode_leader_msg(recovered_);
+  Bytes payload = leader_msg_.encode();
   for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
     if (q != self_) rt.send(q, msg_type::kCrLeader, payload);
   }
@@ -109,7 +84,7 @@ void CrOmegaStable::set_leader(Runtime& rt, ProcessId q, bool restart_timer) {
     // Persist subsequent refinements once the initial wait completed: the
     // stored value is what the next incarnation starts from.
     if (leader_written_) {
-      rt.storage()->write(kLeaderKey, encode_u64(leader_));
+      rt.storage()->write(kLeaderKey, CrStoredValue{leader_}.encode());
     }
   }
   if (leader_timer_ != kInvalidTimer) {
@@ -124,18 +99,18 @@ void CrOmegaStable::set_leader(Runtime& rt, ProcessId q, bool restart_timer) {
 void CrOmegaStable::on_message(Runtime& rt, ProcessId src, MessageType type,
                                BytesView payload) {
   if (type != msg_type::kCrLeader) return;
-  std::vector<std::uint64_t> theirs = decode_leader_msg(payload);
-  if (theirs.size() != recovered_.size()) return;  // foreign n: ignore
-  for (std::size_t r = 0; r < recovered_.size(); ++r) {
-    recovered_[r] = std::max(recovered_[r], theirs[r]);
+  const CrLeaderMsg theirs = CrLeaderMsg::decode(payload);
+  std::vector<std::uint64_t>& recovered = leader_msg_.recovered;
+  if (theirs.recovered.size() != recovered.size()) return;  // foreign n
+  for (std::size_t r = 0; r < recovered.size(); ++r) {
+    recovered[r] = std::max(recovered[r], theirs.recovered[r]);
   }
   // Is the sender at least as good as the current leader?
-  if (at_least_as_good(recovered_[src], src, recovered_[leader_], leader_)) {
+  if (at_least_as_good(recovered[src], src, recovered[leader_], leader_)) {
     set_leader(rt, src, /*restart_timer=*/true);
   }
   // Do we deserve it ourselves?
-  if (strictly_better(recovered_[self_], self_, recovered_[leader_],
-                      leader_)) {
+  if (strictly_better(recovered[self_], self_, recovered[leader_], leader_)) {
     set_leader(rt, self_, /*restart_timer=*/false);
   }
 }
@@ -145,7 +120,7 @@ void CrOmegaStable::on_timer(Runtime& rt, TimerId timer) {
     wait_timer_ = kInvalidTimer;
     // End of Task 1's wait: persist the current leader. From here on the
     // stored leader tracks every change.
-    rt.storage()->write(kLeaderKey, encode_u64(leader_));
+    rt.storage()->write(kLeaderKey, CrStoredValue{leader_}.encode());
     leader_written_ = true;
     return;
   }
@@ -169,8 +144,8 @@ void CrOmegaVolatile::on_start(Runtime& rt) {
   self_ = rt.id();
   n_ = rt.n();
   leader_ = kNoProcess;  // ⊥: no leader known after (re)start
-  recovered_.assign(static_cast<std::size_t>(n_), 0);
-  recovered_[self_] = 1;
+  leader_msg_.recovered.assign(static_cast<std::size_t>(n_), 0);
+  leader_msg_.recovered[self_] = 1;
   timeout_.assign(static_cast<std::size_t>(n_), config_.eta);
   alive_from_.clear();
   notify_leader(rt, leader_);
@@ -208,17 +183,18 @@ void CrOmegaVolatile::on_message(Runtime& rt, ProcessId src, MessageType type,
                                  BytesView payload) {
   switch (type) {
     case msg_type::kCrRecovered:
-      ++recovered_[src];
+      ++leader_msg_.recovered[src];
       return;
     case msg_type::kCrAlive:
       alive_from_.insert(src);
       maybe_self_elect(rt);
       return;
     case msg_type::kCrLeader: {
-      std::vector<std::uint64_t> theirs = decode_leader_msg(payload);
-      if (theirs.size() != recovered_.size()) return;
-      for (std::size_t r = 0; r < recovered_.size(); ++r) {
-        recovered_[r] = std::max(recovered_[r], theirs[r]);
+      const CrLeaderMsg theirs = CrLeaderMsg::decode(payload);
+      std::vector<std::uint64_t>& recovered = leader_msg_.recovered;
+      if (theirs.recovered.size() != recovered.size()) return;
+      for (std::size_t r = 0; r < recovered.size(); ++r) {
+        recovered[r] = std::max(recovered[r], theirs.recovered[r]);
       }
       // Adaptive guard against our own churn: a process that has recovered
       // k times widens its timeouts to at least k steps, so eventually its
@@ -226,17 +202,16 @@ void CrOmegaVolatile::on_message(Runtime& rt, ProcessId src, MessageType type,
       // Recovered[p]) line, scaled to time units).
       timeout_[src] = std::max(
           timeout_[src],
-          config_.eta + static_cast<Duration>(recovered_[self_]) *
+          config_.eta + static_cast<Duration>(recovered[self_]) *
                             config_.incarnation_step);
       bool adopt =
           (leader_ == kNoProcess &&
-           strictly_better(recovered_[src], src, recovered_[self_], self_)) ||
+           strictly_better(recovered[src], src, recovered[self_], self_)) ||
           (leader_ != kNoProcess &&
-           at_least_as_good(recovered_[src], src, recovered_[leader_],
-                            leader_));
+           at_least_as_good(recovered[src], src, recovered[leader_], leader_));
       if (adopt) set_leader(rt, src, /*restart_timer=*/true);
       if (leader_ == kNoProcess ||
-          strictly_better(recovered_[self_], self_, recovered_[leader_],
+          strictly_better(recovered[self_], self_, recovered[leader_],
                           leader_)) {
         set_leader(rt, self_, /*restart_timer=*/false);
       }
@@ -251,7 +226,7 @@ void CrOmegaVolatile::on_timer(Runtime& rt, TimerId timer) {
   if (timer == tick_timer_) {
     tick_timer_ = rt.set_timer(config_.eta);
     if (leader_ == self_) {
-      Bytes payload = encode_leader_msg(recovered_);
+      Bytes payload = leader_msg_.encode();
       for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
         if (q != self_) rt.send(q, msg_type::kCrLeader, payload);
       }

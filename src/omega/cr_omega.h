@@ -32,7 +32,7 @@
 #include <set>
 #include <vector>
 
-#include "common/serialization.h"
+#include "net/wire.h"
 #include "omega/omega.h"
 
 namespace lls {
@@ -42,6 +42,21 @@ inline constexpr MessageType kCrLeader = 0x0120;     ///< LEADER(Recovered[])
 inline constexpr MessageType kCrRecovered = 0x0121;  ///< RECOVERED
 inline constexpr MessageType kCrAlive = 0x0122;      ///< ALIVE (Fig. 4 only)
 }  // namespace msg_type
+
+/// LEADER(Recovered[]): the sender's per-process incarnation (Fig. 3) or
+/// recovery count (Fig. 4).
+struct CrLeaderMsg {
+  std::vector<std::uint64_t> recovered;
+
+  LLS_WIRE_FIELDS(CrLeaderMsg, recovered)
+};
+
+/// One stored u64: Fig. 3's incarnation number and leader id.
+struct CrStoredValue {
+  std::uint64_t value = 0;
+
+  LLS_WIRE_FIELDS(CrStoredValue, value)
+};
 
 struct CrOmegaConfig {
   /// Heartbeat period (the papers' η).
@@ -88,7 +103,8 @@ class CrOmegaStable final : public OmegaActor {
 
   std::uint64_t incarnation_ = 0;
   ProcessId leader_ = kNoProcess;
-  std::vector<std::uint64_t> recovered_;
+  /// Recovered[], held as the LEADER message it is broadcast as.
+  CrLeaderMsg leader_msg_;
   std::vector<Duration> timeout_;
 
   bool leader_written_ = false;  ///< Task 1's initial wait has completed
@@ -123,7 +139,8 @@ class CrOmegaVolatile final : public OmegaActor {
   int n_ = 0;
 
   ProcessId leader_ = kNoProcess;  // ⊥
-  std::vector<std::uint64_t> recovered_;
+  /// Recovered[], held as the LEADER message it is broadcast as.
+  CrLeaderMsg leader_msg_;
   std::vector<Duration> timeout_;
   std::set<ProcessId> alive_from_;
 

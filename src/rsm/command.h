@@ -8,12 +8,10 @@
 // exactly-once application.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/serialization.h"
 #include "common/types.h"
 #include "net/wire.h"
 
@@ -58,39 +56,9 @@ struct KvResult {
 struct CommandBatch {
   std::vector<Command> commands;
 
-  /// Exact encoded size (u32 count, then per command: u32 frame length +
-  /// the command's own wire size). Lets encode() make a single sized
-  /// allocation and lay every command flat — no per-command temporary.
-  [[nodiscard]] std::size_t measured_size() const {
-    std::size_t size = 4;
-    for (const Command& c : commands) size += 4 + wire::measure(c);
-    return size;
-  }
-
-  [[nodiscard]] Bytes encode() const {
-    Bytes out(measured_size());
-    FlatWriter w(out);
-    w.put(static_cast<std::uint32_t>(commands.size()));
-    wire::Encoder enc(w);
-    for (const Command& c : commands) {
-      w.put(static_cast<std::uint32_t>(wire::measure(c)));
-      c.visit_fields(enc);
-    }
-    return out;
-  }
-
-  static CommandBatch decode(BytesView payload) {
-    BufReader r(payload);
-    CommandBatch b;
-    auto count = r.get<std::uint32_t>();
-    b.commands.reserve(std::min<std::size_t>(count, r.remaining() / 17));
-    for (std::uint32_t i = 0; i < count; ++i) {
-      // Borrow the length-prefixed frame instead of copying it out; the
-      // decoded Command owns its strings, so nothing outlives `payload`.
-      b.commands.push_back(Command::decode(r.get_view()));
-    }
-    return b;
-  }
+  // Each command is length-framed, so a reader can borrow one command's
+  // bytes as a unit.
+  LLS_WIRE_FIELDS(CommandBatch, wire::framed(commands))
 };
 
 }  // namespace lls

@@ -14,6 +14,13 @@ Bytes encode_single_command(const Command& cmd) {
   batch.commands.push_back(cmd);
   return batch.encode();
 }
+
+BytesView bytes_of(const std::string& s) { return std::as_bytes(std::span(s)); }
+
+std::string string_of(const WireBlob& blob) {
+  BytesView v = blob.view();
+  return {reinterpret_cast<const char*>(v.data()), v.size()};
+}
 }  // namespace
 
 KvCore::KvCore(const KvCoreOptions& options)
@@ -332,42 +339,27 @@ void KvCore::persist_snapshot(Runtime& rt) const {
   if (storage == nullptr) {
     throw std::logic_error("durable KvCore snapshot requires Runtime::storage()");
   }
-  // Exact-size single allocation (the snapshot can be large; growing a
-  // BufWriter through doublings would copy it several times over).
-  std::size_t size = sizeof(applied_upto_) + sizeof(store_.applied()) + 4;
-  for (const auto& [key, value] : store_.data()) {
-    size += 4 + key.size() + 4 + value.size();
-  }
-  size += 4;
-  for (const auto& [origin, seqs] : applied_) {
-    size += sizeof(ProcessId) + 4 + seqs.size() * sizeof(std::uint64_t);
-  }
-  Bytes out(size);
-  FlatWriter w(out);
-  w.put(applied_upto_);
-  w.put(store_.applied());
-  w.put(static_cast<std::uint32_t>(store_.data().size()));
+  KvSnapshot snap{applied_upto_, store_.applied(), {}, {}};
+  snap.data.reserve(store_.data().size());
   for (const auto& [key, value] : store_.data()) {  // map order: deterministic
-    w.put_string(key);
-    w.put_string(value);
+    snap.data.push_back(
+        {WireBlob::ref(bytes_of(key)), WireBlob::ref(bytes_of(value))});
   }
   // The dedup sets are part of the state machine: without them, a command
   // decided below the snapshot AND re-decided above it (leader-change
   // at-least-once) would re-apply after recovery. Sorted for determinism.
-  std::vector<ProcessId> origins;
-  origins.reserve(applied_.size());
-  for (const auto& [origin, seqs] : applied_) origins.push_back(origin);
-  std::sort(origins.begin(), origins.end());
-  w.put(static_cast<std::uint32_t>(origins.size()));
-  for (ProcessId origin : origins) {
-    const auto& seqs = applied_.at(origin);
-    std::vector<std::uint64_t> sorted(seqs.begin(), seqs.end());
-    std::sort(sorted.begin(), sorted.end());
-    w.put(origin);
-    w.put(static_cast<std::uint32_t>(sorted.size()));
-    for (std::uint64_t x : sorted) w.put(x);
+  snap.dedup.reserve(applied_.size());
+  for (const auto& [origin, seqs] : applied_) {
+    SnapshotDedup& d = snap.dedup.emplace_back();
+    d.origin = origin;
+    d.seqs.assign(seqs.begin(), seqs.end());
+    std::sort(d.seqs.begin(), d.seqs.end());
   }
-  storage->write(snapshot_key(), out);
+  std::sort(snap.dedup.begin(), snap.dedup.end(),
+            [](const SnapshotDedup& a, const SnapshotDedup& b) {
+              return a.origin < b.origin;
+            });
+  storage->write(snapshot_key(), snap.encode());
 }
 
 void KvCore::restore_snapshot(Runtime& rt) {
@@ -375,22 +367,16 @@ void KvCore::restore_snapshot(Runtime& rt) {
   if (storage == nullptr) return;  // volatile runtime: nothing to restore
   auto blob = storage->read(snapshot_key());
   if (!blob.has_value()) return;  // never compacted durably
-  BufReader r(*blob);
-  snapshot_skip_ = r.get<Instance>();
+  const KvSnapshot snap = KvSnapshot::decode(*blob);
+  snapshot_skip_ = snap.applied_upto;
   applied_upto_ = snapshot_skip_;
-  const auto store_applied = r.get<std::uint64_t>();
-  auto entries = r.get<std::uint32_t>();
   std::map<std::string, std::string> data;
-  while (entries-- > 0) {
-    std::string key = r.get_string();
-    data[std::move(key)] = r.get_string();
+  for (const SnapshotEntry& e : snap.data) {
+    data[string_of(e.key)] = string_of(e.value);
   }
-  store_.restore(std::move(data), store_applied);
-  auto origins = r.get<std::uint32_t>();
-  while (origins-- > 0) {
-    auto origin = r.get<ProcessId>();
-    auto seqs = r.get_vec<std::uint64_t>();
-    applied_[origin].insert(seqs.begin(), seqs.end());
+  store_.restore(std::move(data), snap.store_applied);
+  for (const SnapshotDedup& d : snap.dedup) {
+    applied_[d.origin].insert(d.seqs.begin(), d.seqs.end());
   }
 }
 

@@ -31,6 +31,34 @@
 
 namespace lls {
 
+/// One key of the store. Encoding borrows the store's strings; decoding
+/// borrows the stored blob.
+struct SnapshotEntry {
+  WireBlob key;
+  WireBlob value;
+
+  LLS_WIRE_FIELDS(SnapshotEntry, key, value)
+};
+
+/// One origin's applied command seqs (its dedup set), sorted.
+struct SnapshotDedup {
+  ProcessId origin = kNoProcess;
+  std::vector<std::uint64_t> seqs;
+
+  LLS_WIRE_FIELDS(SnapshotDedup, origin, seqs)
+};
+
+/// The state-machine snapshot a durable core persists before compacting
+/// its log (see KvCore::compact_to).
+struct KvSnapshot {
+  Instance applied_upto = 0;
+  std::uint64_t store_applied = 0;
+  std::vector<SnapshotEntry> data;   ///< key order
+  std::vector<SnapshotDedup> dedup;  ///< origin order
+
+  LLS_WIRE_FIELDS(KvSnapshot, applied_upto, store_applied, data, dedup)
+};
+
 struct KvReplicaConfig {
   /// When true, this replica submits at most one command at a time to the
   /// consensus log and holds the rest in a local session queue, giving

@@ -38,6 +38,7 @@ UdpNode::UdpNode(UdpNodeConfig config, std::unique_ptr<Actor> actor)
   datagrams_sent_ = &reg.counter("udp.datagrams_sent");
   bytes_sent_ = &reg.counter("udp.bytes_sent");
   datagrams_received_ = &reg.counter("udp.datagrams_received");
+  frames_rejected_ = &reg.counter("udp.frames_rejected");
   sendmmsg_calls_ = &reg.counter("udp.sendmmsg_calls");
   recvmmsg_calls_ = &reg.counter("udp.recvmmsg_calls");
   pool_hits_ = &reg.counter("udp.pool_hits");
@@ -280,8 +281,14 @@ void UdpNode::deliver_frame(const std::byte* data, std::size_t len) {
   // Debug borrow scope: blob fields decoded out of this receive slab die
   // when the delivery returns — the slab is overwritten by the next drain.
   borrowcheck::Scope borrow_scope;
-  actor_->on_message(*this, static_cast<ProcessId>(src), type,
-                     BytesView(data + kHeaderSize, len - kHeaderSize));
+  try {
+    actor_->on_message(*this, static_cast<ProcessId>(src), type,
+                       BytesView(data + kHeaderSize, len - kHeaderSize));
+  } catch (const SerializationError&) {
+    // A body that does not decode is garbage from the network (a truncated
+    // or forged datagram): drop it like a lost message.
+    frames_rejected_->inc();
+  }
 }
 
 void UdpNode::drain_socket() {

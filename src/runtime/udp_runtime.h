@@ -12,7 +12,8 @@
 // Batched data plane: outbound frames are drawn from the node's BufferPool
 // and coalesced into a send queue flushed with one sendmmsg(2) per 64
 // datagrams; inbound traffic is drained with recvmmsg(2) into persistent
-// receive slabs. A frame the kernel refuses is dropped alone, as link loss.
+// receive slabs. A frame the kernel refuses is dropped alone, as link loss;
+// so is a received frame whose body fails to decode (udp.frames_rejected).
 // On non-Linux platforms the same queueing logic degrades to
 // sendto/recvfrom loops.
 #pragma once
@@ -123,6 +124,7 @@ class UdpNode final : public Runtime {
   obs::Counter* datagrams_sent_ = nullptr;
   obs::Counter* bytes_sent_ = nullptr;
   obs::Counter* datagrams_received_ = nullptr;
+  obs::Counter* frames_rejected_ = nullptr;  ///< bodies that failed to decode
   obs::Counter* sendmmsg_calls_ = nullptr;
   obs::Counter* recvmmsg_calls_ = nullptr;
   obs::Counter* pool_hits_ = nullptr;

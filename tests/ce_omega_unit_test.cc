@@ -3,7 +3,6 @@
 // provisional-vs-authoritative counters, timeout adaptation.
 #include <gtest/gtest.h>
 
-#include "common/serialization.h"
 #include "omega/ce_omega.h"
 #include "testing_util.h"
 
@@ -21,17 +20,11 @@ CeOmegaConfig config() {
 }
 
 Bytes alive_payload(std::uint64_t counter, std::uint64_t phase) {
-  BufWriter w;
-  w.put(counter);
-  w.put(phase);
-  return w.take();
+  return CeOmega::AliveMsg{counter, phase}.encode();
 }
 
 Bytes accuse_payload(ProcessId accused, std::uint64_t phase) {
-  BufWriter w;
-  w.put(accused);
-  w.put(phase);
-  return w.take();
+  return CeOmega::AccuseMsg{accused, phase}.encode();
 }
 
 TEST(CeOmegaUnit, InitialLeaderIsProcessZero) {

@@ -9,10 +9,15 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "consensus/experiment.h"
+#include "consensus/log_consensus.h"
 #include "consensus/paxos.h"
 #include "consensus/rotating_consensus.h"
 #include "net/relay.h"
+#include "omega/ce_omega.h"
+#include "omega/cr_omega.h"
 #include "rsm/command.h"
+#include "rsm/kv_core.h"
 
 namespace lls {
 namespace {
@@ -30,6 +35,25 @@ std::vector<std::pair<std::string, Decoder>> decoders() {
       {"DecideAckMsg", [](BytesView v) { (void)DecideAckMsg::decode(v); }},
       {"ForwardMsg", [](BytesView v) { (void)ForwardMsg::decode(v); }},
       {"Command", [](BytesView v) { (void)Command::decode(v); }},
+      {"CommandBatch", [](BytesView v) { (void)CommandBatch::decode(v); }},
+      {"AliveMsg", [](BytesView v) { (void)CeOmega::AliveMsg::decode(v); }},
+      {"AccuseMsg", [](BytesView v) { (void)CeOmega::AccuseMsg::decode(v); }},
+      {"CrLeaderMsg", [](BytesView v) { (void)CrLeaderMsg::decode(v); }},
+      {"CrStoredValue", [](BytesView v) { (void)CrStoredValue::decode(v); }},
+      {"RcEstimateMsg",
+       [](BytesView v) { (void)RotatingConsensus::EstimateMsg::decode(v); }},
+      {"RcProposalMsg",
+       [](BytesView v) { (void)RotatingConsensus::ProposalMsg::decode(v); }},
+      {"RcAckMsg",
+       [](BytesView v) { (void)RotatingConsensus::AckMsg::decode(v); }},
+      {"RcDecideMsg",
+       [](BytesView v) { (void)RotatingConsensus::DecideMsg::decode(v); }},
+      {"Envelope",
+       [](BytesView v) { (void)RelayActor::Envelope::decode(v); }},
+      {"Acceptor", [](BytesView v) { (void)Acceptor::decode(v); }},
+      {"LogState", [](BytesView v) { (void)LogState::decode(v); }},
+      {"KvSnapshot", [](BytesView v) { (void)KvSnapshot::decode(v); }},
+      {"ValueId", [](BytesView v) { (void)value_id(v); }},
   };
 }
 
@@ -89,6 +113,45 @@ TEST(CodecFuzz, TruncatedValidEncodingsThrowNotCrash) {
   cmd.value = "value";
   cmd.expected = "expected";
   encodings.emplace_back("Command", cmd.encode());
+  CommandBatch batch;
+  batch.commands = {cmd, cmd};
+  encodings.emplace_back("CommandBatch", batch.encode());
+  encodings.emplace_back("AliveMsg", CeOmega::AliveMsg{3, 4}.encode());
+  encodings.emplace_back("AccuseMsg", CeOmega::AccuseMsg{1, 4}.encode());
+  encodings.emplace_back("CrLeaderMsg", CrLeaderMsg{{1, 2, 3}}.encode());
+  encodings.emplace_back("CrStoredValue", CrStoredValue{7}.encode());
+  encodings.emplace_back(
+      "RcEstimateMsg",
+      RotatingConsensus::EstimateMsg{1, 2, 0, Bytes{std::byte{3}}}.encode());
+  encodings.emplace_back(
+      "RcProposalMsg",
+      RotatingConsensus::ProposalMsg{1, 2, Bytes{std::byte{3}}}.encode());
+  encodings.emplace_back("RcAckMsg", RotatingConsensus::AckMsg{1, 2}.encode());
+  encodings.emplace_back(
+      "RcDecideMsg",
+      RotatingConsensus::DecideMsg{1, Bytes{std::byte{3}}}.encode());
+  RelayActor::Envelope envelope;
+  envelope.origin = 1;
+  envelope.seq = 2;
+  envelope.dst = 3;
+  envelope.inner_type = 0x0101;
+  envelope.payload = Bytes{std::byte{4}};
+  encodings.emplace_back("Envelope", envelope.encode());
+  Acceptor acceptor;
+  acceptor.on_accept(3, 1, Bytes{std::byte{5}});
+  encodings.emplace_back("Acceptor", acceptor.encode());
+  LogState state;
+  state.acceptor = acceptor;
+  state.base = 1;
+  state.log = {Bytes{std::byte{6}}, std::nullopt, Bytes{}};
+  encodings.emplace_back("LogState", state.encode());
+  KvSnapshot snapshot;
+  snapshot.applied_upto = 4;
+  snapshot.store_applied = 3;
+  snapshot.data.push_back({Bytes{std::byte{'k'}}, Bytes{std::byte{'v'}}});
+  snapshot.dedup.push_back({2, {1, 2}});
+  encodings.emplace_back("KvSnapshot", snapshot.encode());
+  encodings.emplace_back("ValueId", make_value(9));
 
   auto all = decoders();
   for (const auto& [name, bytes] : encodings) {
@@ -104,20 +167,31 @@ TEST(CodecFuzz, TruncatedValidEncodingsThrowNotCrash) {
   }
 }
 
+/// The head of a PromiseMsg whose entry count lies.
+struct PromiseHeader {
+  Round round = 1;
+  std::uint32_t entries = 1000;
+
+  LLS_WIRE_FIELDS(PromiseHeader, round, entries)
+};
+
+/// The head of a Command whose key length runs past the end.
+struct CommandHeader {
+  ProcessId origin = 0;
+  std::uint64_t seq = 1;
+  KvOp op = KvOp::kPut;
+  std::uint32_t key_length = 0xffffff;
+
+  LLS_WIRE_FIELDS(CommandHeader, origin, seq, op, key_length)
+};
+
 TEST(CodecFuzz, LengthFieldLyingAboutSizeThrows) {
   // A PromiseMsg whose entry count claims more entries than are present.
-  BufWriter w;
-  w.put<Round>(1);
-  w.put<std::uint32_t>(1000);  // entry count lie
-  EXPECT_THROW(PromiseMsg::decode(w.view()), SerializationError);
+  EXPECT_THROW(PromiseMsg::decode(PromiseHeader{}.encode()),
+               SerializationError);
 
   // A Command whose key length runs past the end.
-  BufWriter c;
-  c.put<ProcessId>(0);
-  c.put<std::uint64_t>(1);
-  c.put<KvOp>(KvOp::kPut);
-  c.put<std::uint32_t>(0xffffff);  // key length lie
-  EXPECT_THROW(Command::decode(c.view()), SerializationError);
+  EXPECT_THROW(Command::decode(CommandHeader{}.encode()), SerializationError);
 }
 
 TEST(CodecFuzz, MutatedValidEncodingsNeverCrash) {

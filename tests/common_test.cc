@@ -10,19 +10,33 @@
 #include "common/rng.h"
 #include "common/serialization.h"
 #include "common/types.h"
+#include "net/wire.h"
+#include "obs/histogram.h"
+#include "obs/registry.h"
 
 namespace lls {
 namespace {
 
-TEST(Serialization, RoundTripsIntegers) {
-  BufWriter w;
-  w.put<std::uint8_t>(0xab);
-  w.put<std::uint16_t>(0xbeef);
-  w.put<std::uint32_t>(0xdeadbeef);
-  w.put<std::uint64_t>(0x0123456789abcdefULL);
-  w.put<std::int64_t>(-42);
+/// Runs `fill` over a FlatWriter on an exactly `size`-byte slab.
+template <typename Fill>
+Bytes write_flat(std::size_t size, Fill fill) {
+  Bytes out(size);
+  FlatWriter w(out);
+  fill(w);
+  EXPECT_EQ(w.written(), size);
+  return out;
+}
 
-  BufReader r(w.view());
+TEST(Serialization, RoundTripsIntegers) {
+  const Bytes buf = write_flat(23, [](FlatWriter& w) {
+    w.put<std::uint8_t>(0xab);
+    w.put<std::uint16_t>(0xbeef);
+    w.put<std::uint32_t>(0xdeadbeef);
+    w.put<std::uint64_t>(0x0123456789abcdefULL);
+    w.put<std::int64_t>(-42);
+  });
+
+  BufReader r(buf);
   EXPECT_EQ(r.get<std::uint8_t>(), 0xab);
   EXPECT_EQ(r.get<std::uint16_t>(), 0xbeef);
   EXPECT_EQ(r.get<std::uint32_t>(), 0xdeadbeefu);
@@ -31,39 +45,54 @@ TEST(Serialization, RoundTripsIntegers) {
   EXPECT_TRUE(r.done());
 }
 
-TEST(Serialization, RoundTripsStringsAndVectors) {
-  BufWriter w;
-  w.put_string("hello world");
-  w.put_vec<std::uint32_t>({1, 2, 3, 5, 8});
-  w.put_string("");
+struct StringsAndVector {
+  std::string first;
+  std::vector<std::uint32_t> numbers;
+  std::string last;
 
-  BufReader r(w.view());
+  LLS_WIRE_FIELDS(StringsAndVector, first, numbers, last)
+};
+
+TEST(Serialization, RoundTripsStringsAndVectors) {
+  const StringsAndVector in{"hello world", {1, 2, 3, 5, 8}, ""};
+  const Bytes buf = in.encode();
+
+  BufReader r(buf);
   EXPECT_EQ(r.get_string(), "hello world");
-  EXPECT_EQ(r.get_vec<std::uint32_t>(), (std::vector<std::uint32_t>{1, 2, 3, 5, 8}));
+  ASSERT_EQ(r.get<std::uint32_t>(), 5u);
+  for (std::uint32_t x : {1u, 2u, 3u, 5u, 8u}) {
+    EXPECT_EQ(r.get<std::uint32_t>(), x);
+  }
   EXPECT_EQ(r.get_string(), "");
   EXPECT_TRUE(r.done());
+
+  const StringsAndVector out = StringsAndVector::decode(buf);
+  EXPECT_EQ(out.first, in.first);
+  EXPECT_EQ(out.numbers, in.numbers);
+  EXPECT_EQ(out.last, in.last);
 }
 
 TEST(Serialization, RoundTripsBytes) {
   Bytes blob{std::byte{1}, std::byte{2}, std::byte{255}};
-  BufWriter w;
-  w.put_bytes(blob);
-  BufReader r(w.view());
+  const Bytes buf =
+      write_flat(4 + blob.size(), [&](FlatWriter& w) { w.put_bytes(blob); });
+  BufReader r(buf);
   EXPECT_EQ(r.get_bytes(), blob);
 }
 
 TEST(Serialization, UnderflowThrows) {
-  BufWriter w;
-  w.put<std::uint16_t>(7);
-  BufReader r(w.view());
+  const Bytes buf =
+      write_flat(2, [](FlatWriter& w) { w.put<std::uint16_t>(7); });
+  BufReader r(buf);
   EXPECT_EQ(r.get<std::uint16_t>(), 7);
   EXPECT_THROW(r.get<std::uint8_t>(), SerializationError);
 }
 
 TEST(Serialization, TruncatedStringThrows) {
-  BufWriter w;
-  w.put<std::uint32_t>(100);  // claims 100 bytes follow; none do
-  BufReader r(w.view());
+  // Claims 100 bytes follow; none do.
+  const Bytes buf =
+      write_flat(4, [](FlatWriter& w) { w.put<std::uint32_t>(100); });
+  BufReader r(buf);
   EXPECT_THROW(r.get_string(), SerializationError);
 }
 
@@ -137,10 +166,10 @@ TEST(Metrics, TimeSeriesBucketsAndRangeSum) {
 }
 
 TEST(Metrics, SummaryStatistics) {
-  Summary s;
+  obs::Histogram s;
   for (int i = 1; i <= 100; ++i) s.record(i);
   EXPECT_EQ(s.count(), 100u);
-  // Count, mean, extremes and stddev are tracked exactly; percentiles come
+  // Count, mean and extremes are tracked exactly; percentiles come
   // from the streaming log-bucketed histogram, within ~3.2% relative error
   // (exact at p=0 and p=100, which read the tracked min/max).
   EXPECT_DOUBLE_EQ(s.mean(), 50.5);
@@ -150,7 +179,6 @@ TEST(Metrics, SummaryStatistics) {
   EXPECT_NEAR(s.percentile(99), 99, 99 * 0.05);
   EXPECT_DOUBLE_EQ(s.percentile(0), 1);
   EXPECT_DOUBLE_EQ(s.percentile(100), 100);
-  EXPECT_NEAR(s.stddev(), 29.0115, 0.001);
 }
 
 TEST(Metrics, RegistryReturnsStableReferences) {

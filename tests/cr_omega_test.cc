@@ -29,15 +29,9 @@ class Counting final : public Actor {
     timer = rt.set_timer(100);
     if (rt.storage() != nullptr) {
       auto prior = rt.storage()->read("boot_count");
-      std::uint64_t count = 0;
-      if (prior) {
-        BufReader r(*prior);
-        count = r.get<std::uint64_t>();
-      }
+      std::uint64_t count = prior ? CrStoredValue::decode(*prior).value : 0;
       boots_seen = count + 1;
-      BufWriter w;
-      w.put(boots_seen);
-      rt.storage()->write("boot_count", w.view());
+      rt.storage()->write("boot_count", CrStoredValue{boots_seen}.encode());
     }
   }
   void on_message(Runtime&, ProcessId, MessageType, BytesView) override {}

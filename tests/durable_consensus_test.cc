@@ -22,7 +22,7 @@
 namespace lls {
 namespace {
 
-using testing::FakeRuntime;
+using testing::DurableFakeRuntime;
 
 /// Crash-recovery node: CrOmegaStable (leader oracle for the model) +
 /// durable LogConsensus, composed under a mux.
@@ -79,25 +79,6 @@ class NullOmega final : public OmegaActor {
   void on_message(Runtime&, ProcessId, MessageType, BytesView) override {}
   void on_timer(Runtime&, TimerId) override {}
   [[nodiscard]] ProcessId leader() const override { return 0; }
-};
-
-/// FakeRuntime with stable storage.
-class DurableFakeRuntime final : public Runtime {
- public:
-  DurableFakeRuntime(ProcessId id, int n) : inner_(id, n) {}
-  [[nodiscard]] ProcessId id() const override { return inner_.id(); }
-  [[nodiscard]] int n() const override { return inner_.n(); }
-  [[nodiscard]] TimePoint now() const override { return inner_.now(); }
-  void send(ProcessId dst, MessageType type, BytesView payload) override {
-    inner_.send(dst, type, payload);
-  }
-  TimerId set_timer(Duration delay) override { return inner_.set_timer(delay); }
-  void cancel_timer(TimerId timer) override { inner_.cancel_timer(timer); }
-  Rng& rng() override { return inner_.rng(); }
-  [[nodiscard]] StableStorage* storage() override { return &storage_; }
-
-  FakeRuntime inner_;
-  InMemoryStableStorage storage_;
 };
 
 Bytes val(std::uint8_t x) { return Bytes{std::byte{x}}; }

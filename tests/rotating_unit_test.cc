@@ -21,28 +21,23 @@ RotatingConsensusConfig config() {
   return c;
 }
 
+using EstimateMsg = RotatingConsensus::EstimateMsg;
+using ProposalMsg = RotatingConsensus::ProposalMsg;
+using AckMsg = RotatingConsensus::AckMsg;
+using DecideMsg = RotatingConsensus::DecideMsg;
+
 Bytes estimate_payload(Instance i, Round r, Round ts, const Bytes& v) {
-  BufWriter w;
-  w.put(i);
-  w.put(r);
-  w.put(ts);
-  w.put_bytes(v);
-  return w.take();
+  return EstimateMsg{i, r, ts, v}.encode();
 }
 
 Bytes proposal_payload(Instance i, Round r, const Bytes& v) {
-  BufWriter w;
-  w.put(i);
-  w.put(r);
-  w.put_bytes(v);
-  return w.take();
+  return ProposalMsg{i, r, v}.encode();
 }
 
-Bytes ack_payload(Instance i, Round r) {
-  BufWriter w;
-  w.put(i);
-  w.put(r);
-  return w.take();
+Bytes ack_payload(Instance i, Round r) { return AckMsg{i, r}.encode(); }
+
+Bytes decide_payload(Instance i, const Bytes& v) {
+  return DecideMsg{i, v}.encode();
 }
 
 struct Fixture {
@@ -90,10 +85,7 @@ TEST(RotatingUnit, CoordinatorPicksHighestTimestampEstimate) {
     if (s.type == msg_type::kRcProposal) prop = &s.payload;
   }
   ASSERT_NE(prop, nullptr);
-  BufReader r(*prop);
-  r.get<Instance>();
-  r.get<Round>();
-  EXPECT_EQ(r.get_bytes(), val(9));
+  EXPECT_EQ(ProposalMsg::decode(*prop).value, val(9));
 }
 
 TEST(RotatingUnit, ParticipantAcksAndLocksProposal) {
@@ -115,11 +107,10 @@ TEST(RotatingUnit, ParticipantAcksAndLocksProposal) {
     }
   }
   ASSERT_NE(est, nullptr);
-  BufReader r(*est);
-  r.get<Instance>();
-  EXPECT_EQ(r.get<Round>(), 2);   // current round (coordinator p2)
-  EXPECT_EQ(r.get<Round>(), 0);   // lock timestamp
-  EXPECT_EQ(r.get_bytes(), val(5));
+  const EstimateMsg m = EstimateMsg::decode(*est);
+  EXPECT_EQ(m.round, 2);  // current round (coordinator p2)
+  EXPECT_EQ(m.ts, 0);     // lock timestamp
+  EXPECT_EQ(m.value, val(5));
 }
 
 TEST(RotatingUnit, MajorityAcksDecideAndEcho) {
@@ -141,10 +132,8 @@ TEST(RotatingUnit, MajorityAcksDecideAndEcho) {
 TEST(RotatingUnit, DecidedProcessAnswersLateMessagesWithDecide) {
   Fixture f(/*self=*/0, /*n=*/3);
   f.consensus.propose_at(0, val(1));
-  BufWriter w;
-  w.put<Instance>(0);
-  w.put_bytes(val(4));
-  f.consensus.on_message(f.rt, 2, msg_type::kRcDecide, w.view());
+  f.consensus.on_message(f.rt, 2, msg_type::kRcDecide,
+                         decide_payload(0, val(4)));
   ASSERT_TRUE(f.consensus.decision(0).has_value());
 
   f.rt.clear_sent();
@@ -182,14 +171,10 @@ TEST(RotatingUnit, ProposalForNonParticipantAdoptsValue) {
 
 TEST(RotatingUnit, ConflictingDecideThrows) {
   Fixture f(/*self=*/1, /*n=*/3);
-  BufWriter a;
-  a.put<Instance>(0);
-  a.put_bytes(val(1));
-  f.consensus.on_message(f.rt, 0, msg_type::kRcDecide, a.view());
-  BufWriter b;
-  b.put<Instance>(0);
-  b.put_bytes(val(2));
-  EXPECT_THROW(f.consensus.on_message(f.rt, 2, msg_type::kRcDecide, b.view()),
+  f.consensus.on_message(f.rt, 0, msg_type::kRcDecide,
+                         decide_payload(0, val(1)));
+  EXPECT_THROW(f.consensus.on_message(f.rt, 2, msg_type::kRcDecide,
+                                      decide_payload(0, val(2))),
                std::logic_error);
 }
 
@@ -197,10 +182,8 @@ TEST(RotatingUnit, InstancesAreIndependent) {
   Fixture f(/*self=*/0, /*n=*/3);
   f.consensus.propose_at(0, val(1));
   f.consensus.propose_at(1, val(2));
-  BufWriter w;
-  w.put<Instance>(1);
-  w.put_bytes(val(2));
-  f.consensus.on_message(f.rt, 1, msg_type::kRcDecide, w.view());
+  f.consensus.on_message(f.rt, 1, msg_type::kRcDecide,
+                         decide_payload(1, val(2)));
   EXPECT_TRUE(f.consensus.decision(1).has_value());
   EXPECT_FALSE(f.consensus.decision(0).has_value());
   EXPECT_EQ(f.consensus.first_unknown(), 0u);  // in-order notification gate

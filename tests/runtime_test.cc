@@ -1,9 +1,14 @@
 // Tests of the real-time runtimes: the thread cluster and the UDP node.
 // Durations are kept short; assertions allow generous scheduling slack.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "net/message.h"
@@ -281,6 +286,111 @@ TEST(UdpRuntime, RefusedFrameDropsAloneNotTheQueueBehindIt) {
   EXPECT_TRUE(sink.first.load());
   EXPECT_FALSE(sink.oversized.load());
   EXPECT_TRUE(sink.last.load());
+}
+
+TEST(UdpRuntime, UndecodableFramesAreDroppedNotFatal) {
+  // Datagrams with a valid header but a body too short to decode — a
+  // truncated ACCEPT (consensus) and a truncated ALIVE (Omega) — are dropped
+  // and counted; the cluster keeps its leader and still commits. Timeouts
+  // are generous: the suite runs real-time tests in parallel.
+  const int n = 3;
+  const auto base = static_cast<std::uint16_t>(test_port_base() + 5000);
+  CeOmegaConfig omega;
+  omega.eta = 5 * kMillisecond;
+  omega.initial_timeout = 100 * kMillisecond;
+  omega.additive_step = 20 * kMillisecond;
+  std::vector<std::unique_ptr<UdpNode>> nodes;
+  std::vector<KvReplica*> replicas;
+  for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
+    KvReplica::Options options;
+    options.omega = omega;
+    options.consensus = fast_log();
+    auto replica = std::make_unique<KvReplica>(options);
+    replicas.push_back(replica.get());
+    UdpNodeConfig cfg;
+    cfg.id = p;
+    cfg.n = n;
+    cfg.base_port = base;
+    nodes.push_back(std::make_unique<UdpNode>(cfg, std::move(replica)));
+  }
+  for (auto& node : nodes) node->start();
+
+  // Reads fn(p) on every node's loop thread; false if a node did not answer.
+  auto read_all = [&](auto fn, std::vector<std::uint64_t>& out) {
+    std::atomic<int> done{0};
+    for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
+      nodes[p]->post([&, p]() {
+        out[p] = fn(p);
+        done.fetch_add(1);
+      });
+    }
+    for (int i = 0; i < 1000 && done.load() < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return done.load() == n;
+  };
+  auto leader_of = [&](ProcessId p) -> std::uint64_t {
+    return replicas[p]->omega().leader();
+  };
+  auto rejected_at = [&](ProcessId p) -> std::uint64_t {
+    return nodes[p]->obs().registry().counter("udp.frames_rejected").value();
+  };
+  auto agreed = [&](std::vector<std::uint64_t>& leaders) {
+    return read_all(leader_of, leaders) && leaders[0] != kNoProcess &&
+           leaders[0] == leaders[1] && leaders[1] == leaders[2];
+  };
+
+  std::vector<std::uint64_t> before(n, kNoProcess);
+  for (int i = 0; i < 100 && !agreed(before); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  ASSERT_TRUE(agreed(before));
+
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  auto send_truncated = [&](ProcessId dst, MessageType type,
+                            std::size_t body) {
+    std::byte frame[16] = {};
+    const auto src = static_cast<std::uint32_t>((dst + 1) % n);
+    std::memcpy(frame, &src, sizeof(src));
+    std::memcpy(frame + sizeof(src), &type, sizeof(type));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(base + dst));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ::sendto(fd, frame, 6 + body, 0, reinterpret_cast<sockaddr*>(&addr),
+             sizeof(addr));
+  };
+  std::vector<std::uint64_t> rejected(n, 0);
+  auto all_rejected = [&]() {
+    return read_all(rejected_at, rejected) && rejected[0] >= 2 &&
+           rejected[1] >= 2 && rejected[2] >= 2;
+  };
+  // Loopback may drop a datagram: resend until every node counted both.
+  for (int i = 0; i < 100 && !all_rejected(); ++i) {
+    for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
+      send_truncated(p, msg_type::kAccept, 5);
+      send_truncated(p, msg_type::kCeOmegaAlive, 3);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  ::close(fd);
+  EXPECT_TRUE(all_rejected());
+
+  std::atomic<bool> put_done{false};
+  nodes[1]->post([&]() {
+    replicas[1]->submit(KvOp::kPut, "after", "garbage", "",
+                        [&](const KvResult&) { put_done.store(true); });
+  });
+  for (int i = 0; i < 1000 && !put_done.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::vector<std::uint64_t> after(n, kNoProcess);
+  const bool still_agreed = agreed(after);
+  for (auto& node : nodes) node->stop();
+  EXPECT_TRUE(put_done.load());
+  EXPECT_TRUE(still_agreed);
+  EXPECT_EQ(after, before);
 }
 
 }  // namespace

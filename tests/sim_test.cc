@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/actor.h"
-#include "common/serialization.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
 
@@ -66,9 +65,7 @@ TEST(Simulator, DeliversMessageWithLinkDelay) {
   auto& a = sim.emplace_actor<Recorder>(0);
   auto& b = sim.emplace_actor<Recorder>(1);
   a.on_start_fn_ = [](Runtime& rt) {
-    BufWriter w;
-    w.put<std::uint32_t>(99);
-    rt.send(1, 7, w.view());
+    rt.send(1, 7, Bytes(4));
   };
   sim.start();
   sim.run_until(100);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/actor.h"
+#include "common/storage.h"
 
 namespace lls::testing {
 
@@ -93,6 +94,27 @@ class FakeRuntime final : public Runtime {
   std::map<TimerId, TimePoint> timers_;
   TimerId next_timer_ = 1;
   Rng rng_;
+};
+
+/// FakeRuntime with stable storage that outlives the actors started on it
+/// (a test "crashes" an actor by building a fresh one over the same
+/// runtime).
+class DurableFakeRuntime final : public Runtime {
+ public:
+  DurableFakeRuntime(ProcessId id, int n) : inner_(id, n) {}
+  [[nodiscard]] ProcessId id() const override { return inner_.id(); }
+  [[nodiscard]] int n() const override { return inner_.n(); }
+  [[nodiscard]] TimePoint now() const override { return inner_.now(); }
+  void send(ProcessId dst, MessageType type, BytesView payload) override {
+    inner_.send(dst, type, payload);
+  }
+  TimerId set_timer(Duration delay) override { return inner_.set_timer(delay); }
+  void cancel_timer(TimerId timer) override { inner_.cancel_timer(timer); }
+  Rng& rng() override { return inner_.rng(); }
+  [[nodiscard]] StableStorage* storage() override { return &storage_; }
+
+  FakeRuntime inner_;
+  InMemoryStableStorage storage_;
 };
 
 /// Transparent wrapper: forwards every callback to an owned inner actor

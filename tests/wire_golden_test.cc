@@ -21,11 +21,19 @@
 #include <string>
 
 #include "common/buffer_pool.h"
+#include "consensus/experiment.h"
+#include "consensus/log_consensus.h"
 #include "consensus/paxos.h"
-#include "net/wire.h"
+#include "consensus/rotating_consensus.h"
 #include "net/message.h"
+#include "net/relay.h"
+#include "net/wire.h"
+#include "omega/ce_omega.h"
+#include "omega/cr_omega.h"
 #include "rsm/command.h"
+#include "rsm/kv_core.h"
 #include "shard/shard_map.h"
+#include "testing_util.h"
 
 namespace lls {
 namespace {
@@ -167,6 +175,312 @@ TEST(WireGolden, ZeroLeaseTimestampsDecodeAsNoSupport) {
   EXPECT_EQ(acc.round, 11u);
   EXPECT_EQ(acc.instance, 4u);
   EXPECT_EQ(acc.echo_ts, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Protocol and storage formats pinned through the actors that produce them:
+// the bytes an actor sends (or writes to stable storage) must hit the pin,
+// and the pinned bytes fed back in must restore the same behaviour.
+// ---------------------------------------------------------------------------
+
+using testing::DurableFakeRuntime;
+using testing::FakeRuntime;
+
+/// Encode must hit the pin, and the pinned bytes must decode to a value
+/// that re-encodes to the same bytes.
+template <typename T>
+void expect_encoding(const T& value, const std::string& pin) {
+  EXPECT_EQ(to_hex(value.encode()), pin);
+  const Bytes pinned = from_hex(pin);
+  EXPECT_EQ(to_hex(T::decode(pinned).encode()), pin);
+}
+
+/// The payload of the last frame of `type` the runtime sent to `dst`.
+Bytes last_sent(const FakeRuntime& rt, ProcessId dst, MessageType type) {
+  Bytes out;
+  for (const auto& s : rt.sent()) {
+    if (s.dst == dst && s.type == type) out = s.payload;
+  }
+  return out;
+}
+
+std::string stored_hex(DurableFakeRuntime& rt, const std::string& key) {
+  auto blob = rt.storage_.read(key);
+  return blob.has_value() ? to_hex(*blob) : "<absent>";
+}
+
+Bytes val(std::uint8_t x) { return Bytes{std::byte{x}}; }
+
+TEST(WireGolden, CeOmegaAliveAndAccuse) {
+  CeOmegaConfig config;
+  config.eta = 10;
+  config.initial_timeout = 30;
+  // ACCUSE (accused u32, phase u64): p1 hears p0's ALIVE at phase 5, then
+  // times p0 out.
+  CeOmega p1(config);
+  FakeRuntime rt1(/*id=*/1, /*n=*/3);
+  p1.on_start(rt1);
+  p1.on_message(rt1, 0, msg_type::kCeOmegaAlive,
+                from_hex("00000000000000000500000000000000"));
+  for (int i = 0; i < 10 && rt1.count_sent(0, msg_type::kCeOmegaAccuse) == 0;
+       ++i) {
+    ASSERT_TRUE(rt1.fire_next_timer(p1));
+  }
+  const std::string accuse = "000000000500000000000000";
+  EXPECT_EQ(to_hex(last_sent(rt1, 0, msg_type::kCeOmegaAccuse)), accuse);
+
+  // ALIVE (counter u64, phase u64): the leader's next heartbeat carries the
+  // counter raised by three accusations (no phase dedup: phase stays 0).
+  // Its peers advertise counter 5, so it stays the leader.
+  config.phase_dedup = false;
+  CeOmega p0(config);
+  FakeRuntime rt0(/*id=*/0, /*n=*/3);
+  p0.on_start(rt0);
+  for (ProcessId q : {1u, 2u}) {
+    p0.on_message(rt0, q, msg_type::kCeOmegaAlive,
+                  from_hex("05000000000000000000000000000000"));
+  }
+  for (int i = 0; i < 3; ++i) {
+    p0.on_message(rt0, 1, msg_type::kCeOmegaAccuse, from_hex(accuse));
+  }
+  rt0.clear_sent();
+  ASSERT_TRUE(rt0.fire_next_timer(p0));
+  EXPECT_EQ(to_hex(last_sent(rt0, 2, msg_type::kCeOmegaAlive)),
+            "03000000000000000000000000000000");
+}
+
+TEST(WireGolden, CrOmegaLeaderAndStoredValues) {
+  // p2 boots twice over the same storage: incarnation 2, stored leader 2.
+  DurableFakeRuntime rt(/*id=*/2, /*n=*/3);
+  { CrOmegaStable first(CrOmegaConfig{}); first.on_start(rt); }
+  CrOmegaStable p2(CrOmegaConfig{});
+  p2.on_start(rt);
+  EXPECT_EQ(stored_hex(rt, "cr_omega/incarnation"), "0200000000000000");
+  EXPECT_EQ(stored_hex(rt, "cr_omega/leader"), "0200000000000000");
+  // LEADER(Recovered[]): u32 count + one u64 incarnation per process.
+  for (int i = 0; i < 10 && rt.inner_.count_sent(0, msg_type::kCrLeader) == 0;
+       ++i) {
+    ASSERT_TRUE(rt.inner_.fire_next_timer(p2));
+  }
+  EXPECT_EQ(to_hex(last_sent(rt.inner_, 0, msg_type::kCrLeader)),
+            "03000000000000000000000000000000000000000200000000000000");
+}
+
+TEST(WireGolden, RotatingCoordinatorMessages) {
+  RotatingConsensusConfig config;
+  config.retry_period = 10;
+  // ESTIMATE: a participant reports its initial value to coordinator p0.
+  RotatingConsensus p1(config);
+  FakeRuntime rt1(/*id=*/1, /*n=*/3);
+  p1.on_start(rt1);
+  p1.propose_at(3, val(0x71));
+  ASSERT_TRUE(rt1.fire_next_timer(p1));
+  const Bytes estimate = last_sent(rt1, 0, msg_type::kRcEstimate);
+  EXPECT_EQ(to_hex(estimate),
+            "03000000000000000000000000000000ffffffffffffffff0100000071");
+
+  // PROPOSAL: the coordinator's pick once a majority of estimates is in.
+  RotatingConsensus p0(config);
+  FakeRuntime rt0(/*id=*/0, /*n=*/3);
+  p0.on_start(rt0);
+  p0.propose_at(3, val(0x70));
+  ASSERT_TRUE(rt0.fire_next_timer(p0));
+  p0.on_message(rt0, 1, msg_type::kRcEstimate, estimate);
+  const Bytes proposal = last_sent(rt0, 1, msg_type::kRcProposal);
+  EXPECT_EQ(to_hex(proposal), "030000000000000000000000000000000100000070");
+
+  // ACK, then DECIDE once the coordinator holds a majority of acks.
+  p1.on_message(rt1, 0, msg_type::kRcProposal, proposal);
+  const Bytes ack = last_sent(rt1, 0, msg_type::kRcAck);
+  EXPECT_EQ(to_hex(ack), "03000000000000000000000000000000");
+  p0.on_message(rt0, 1, msg_type::kRcAck, ack);
+  EXPECT_EQ(to_hex(last_sent(rt0, 2, msg_type::kRcDecide)),
+            "03000000000000000100000070");
+}
+
+TEST(WireGolden, RelayEnvelope) {
+  class SendOnStart final : public Actor {
+   public:
+    void on_start(Runtime& rt) override { rt.send(2, 0x0777, val(0x2a)); }
+    void on_message(Runtime&, ProcessId, MessageType, BytesView) override {}
+    void on_timer(Runtime&, TimerId) override {}
+  };
+  SendOnStart inner;
+  RelayActor relay(inner);
+  FakeRuntime rt(/*id=*/1, /*n=*/4);
+  relay.on_start(rt);
+  // origin u32, seq u64, dst u32, inner type u16, payload.
+  const std::string pin = "010000000100000000000000020000007707010000002a";
+  EXPECT_EQ(to_hex(last_sent(rt, 3, msg_type::kRelayEnvelope)), pin);
+
+  // The pinned envelope delivers the inner message at its destination.
+  class Sink final : public Actor {
+   public:
+    void on_start(Runtime&) override {}
+    void on_message(Runtime&, ProcessId src, MessageType type,
+                    BytesView payload) override {
+      from = src;
+      got = type;
+      body.assign(payload.begin(), payload.end());
+    }
+    void on_timer(Runtime&, TimerId) override {}
+    ProcessId from = kNoProcess;
+    MessageType got = 0;
+    Bytes body;
+  };
+  Sink sink;
+  RelayActor dst(sink);
+  FakeRuntime rt2(/*id=*/2, /*n=*/4);
+  dst.on_start(rt2);
+  dst.on_message(rt2, 1, msg_type::kRelayEnvelope, from_hex(pin));
+  EXPECT_EQ(sink.from, 1u);
+  EXPECT_EQ(sink.got, 0x0777);
+  EXPECT_EQ(sink.body, val(0x2a));
+}
+
+Command command(ProcessId origin, std::uint64_t seq, KvOp op, std::string key,
+                std::string value) {
+  Command c;
+  c.origin = origin;
+  c.seq = seq;
+  c.op = op;
+  c.key = std::move(key);
+  c.value = std::move(value);
+  return c;
+}
+
+TEST(WireGolden, CommandBatchOfTwo) {
+  CommandBatch batch;
+  batch.commands.push_back(command(1, 2, KvOp::kPut, "a", "x"));
+  batch.commands.push_back(command(3, 4, KvOp::kAppend, "bc", "yz"));
+  // u32 count, then per command a u32 frame length + the command.
+  expect_encoding(batch,
+                  "020000001c0000000100000002000000000000000101000000610100"
+                  "00007800000000001e0000000300000004000000000000000402000000"
+                  "626302000000797a0000000000");
+}
+
+TEST(WireGolden, AcceptorState) {
+  Acceptor a;
+  ASSERT_TRUE(a.on_prepare(9));
+  ASSERT_TRUE(a.on_accept(9, 2, val(0xaa)));
+  ASSERT_TRUE(a.on_accept(11, 5, Bytes{std::byte{0xbb}, std::byte{0xcc}}));
+  // promise u64, u32 count, then (instance, round, value) per pair.
+  expect_encoding(a,
+                  "0b000000000000000200000002000000000000000900000000000000"
+                  "01000000aa05000000000000000b0000000000000002000000bbcc");
+}
+
+class NullOmega final : public OmegaActor {
+ public:
+  void on_start(Runtime&) override {}
+  void on_message(Runtime&, ProcessId, MessageType, BytesView) override {}
+  void on_timer(Runtime&, TimerId) override {}
+  [[nodiscard]] ProcessId leader() const override { return 0; }
+};
+
+LogConsensusConfig durable_log() {
+  LogConsensusConfig c;
+  c.durable = true;
+  return c;
+}
+
+TEST(WireGolden, DurableLogRecordWithHoleAndBase) {
+  // Decided 0, 1 and 3 (a hole at 2, which holds an accepted pair), then
+  // compacted to 1: the record is [acceptor blob][base][slots 1, 2, 3].
+  NullOmega omega;
+  DurableFakeRuntime rt(/*id=*/2, /*n=*/3);
+  {
+    LogConsensus log(durable_log(), &omega);
+    log.on_start(rt);
+    log.on_message(rt, 0, msg_type::kDecide, DecideMsg{0, val(0x10)}.encode());
+    log.on_message(rt, 0, msg_type::kDecide, DecideMsg{1, val(0x11)}.encode());
+    log.on_message(rt, 0, msg_type::kDecide, DecideMsg{3, val(0x13)}.encode());
+    log.on_message(rt, 0, msg_type::kAccept,
+                   AcceptMsg{9, 2, 0, val(0x22)}.encode());
+    ASSERT_EQ(log.compact(1), 1u);
+  }
+  // u32-framed acceptor state, base u64, u32 slot count, then per slot a
+  // u8 present flag + the value when present.
+  const std::string pin =
+      "21000000090000000000000001000000020000000000000009000000000000000100"
+      "00002201000000000000000300000001010000001100010100000013";
+  EXPECT_EQ(stored_hex(rt, "log_consensus/state"), pin);
+
+  // The pinned record restores base, slots and the acceptor.
+  DurableFakeRuntime fresh(/*id=*/2, /*n=*/3);
+  fresh.storage_.write("log_consensus/state", from_hex(pin));
+  LogConsensus recovered(durable_log(), &omega);
+  recovered.on_start(fresh);
+  EXPECT_EQ(recovered.compacted_upto(), 1u);
+  EXPECT_EQ(recovered.decision(1), val(0x11));
+  EXPECT_FALSE(recovered.decision(2).has_value());
+  EXPECT_EQ(recovered.decision(3), val(0x13));
+  EXPECT_EQ(recovered.acceptor().promised(), 9);
+  ASSERT_NE(recovered.acceptor().accepted(2), nullptr);
+  EXPECT_EQ(recovered.acceptor().accepted(2)->value, val(0x22));
+}
+
+Bytes batch_of(std::vector<Command> commands) {
+  CommandBatch batch;
+  batch.commands = std::move(commands);
+  return batch.encode();
+}
+
+TEST(WireGolden, KvSnapshotTwoKeysTwoOrigins) {
+  NullOmega omega;
+  DurableFakeRuntime rt(/*id=*/2, /*n=*/3);
+  KvCoreOptions opts;
+  opts.omega = &omega;
+  opts.consensus = durable_log();
+  {
+    KvCore core(opts);
+    core.on_start(rt);
+    core.on_message(rt, 0, msg_type::kDecide,
+                    DecideMsg{0, batch_of({command(1, 1, KvOp::kPut, "a", "x")})}
+                        .encode());
+    core.on_message(
+        rt, 0, msg_type::kDecide,
+        DecideMsg{1, batch_of({command(2, 4, KvOp::kPut, "b", "y"),
+                               command(1, 2, KvOp::kAppend, "a", "z")})}
+            .encode());
+    ASSERT_EQ(core.applied_upto(), 2u);
+    core.compact_to(2);
+  }
+  // applied_upto u64, store op count u64, u32 key count + (key, value)
+  // strings in key order, u32 origin count + (origin u32, u32 count + u64
+  // seqs) in origin order, seqs sorted.
+  const std::string pin =
+      "0200000000000000030000000000000002000000010000006102000000787a0100"
+      "00006201000000790200000001000000020000000100000000000000020000000000"
+      "000002000000010000000400000000000000";
+  EXPECT_EQ(stored_hex(rt, "kv_core/snapshot/0"), pin);
+
+  // The pinned snapshot alone rebuilds the store and the dedup sets.
+  DurableFakeRuntime fresh(/*id=*/2, /*n=*/3);
+  fresh.storage_.write("kv_core/snapshot/0", from_hex(pin));
+  KvCore recovered(opts);
+  recovered.on_start(fresh);
+  EXPECT_EQ(recovered.applied_upto(), 2u);
+  EXPECT_EQ(recovered.applied_count(), 3u);
+  EXPECT_EQ(recovered.store().data(),
+            (std::map<std::string, std::string>{{"a", "xz"}, {"b", "y"}}));
+  // Instances below the snapshot are skipped; a re-decided command above it
+  // is a duplicate.
+  for (Instance i : {0u, 1u}) {
+    recovered.on_message(fresh, 0, msg_type::kDecide,
+                         DecideMsg{i, Bytes{}}.encode());
+  }
+  recovered.on_message(
+      fresh, 0, msg_type::kDecide,
+      DecideMsg{2, batch_of({command(2, 4, KvOp::kPut, "b", "dup")})}.encode());
+  EXPECT_EQ(recovered.store().data().at("b"), "y");
+  EXPECT_EQ(recovered.duplicates_suppressed(), 1u);
+}
+
+TEST(WireGolden, ExperimentValueIds) {
+  EXPECT_EQ(to_hex(make_value(0x0102030405060708ULL)), "0807060504030201");
+  EXPECT_EQ(value_id(from_hex("0807060504030201")), 0x0102030405060708ULL);
 }
 
 }  // namespace

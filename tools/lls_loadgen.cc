@@ -33,8 +33,8 @@
 #include "bench_util.h"
 #include "client/cluster_client.h"
 #include "client/loadgen.h"
-#include "common/metrics.h"
 #include "flags.h"
+#include "obs/histogram.h"
 #include "rsm/history.h"
 #include "rsm/replica.h"
 #include "runtime/udp_runtime.h"
@@ -566,7 +566,7 @@ UdpRunStats run_udp_once(const CliOptions& opt, int shards,
 
   // Threads are joined: pooling the per-client sample arrays is safe now.
   std::uint64_t acked = 0, timed_out = 0, retries = 0, redirects = 0;
-  Summary all_ms, read_summary, write_summary;
+  obs::Histogram all_ms, read_summary, write_summary;
   for (auto& st : drivers) {
     acked += st.client->acked();
     timed_out += st.client->timed_out();
