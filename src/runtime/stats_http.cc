@@ -20,13 +20,18 @@ const char* content_type_for(const std::string& path) {
   return "text/plain; version=0.0.4";  // the Prometheus exposition version
 }
 
-void write_all(int fd, const std::string& data) {
+/// False once the client has gone away. MSG_NOSIGNAL: a client that resets
+/// the connection mid-response must not raise SIGPIPE, which would
+/// terminate every node in the process.
+bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    ssize_t put = ::send(fd, data.data() + off, data.size() - off, 0);
-    if (put <= 0) return;  // client went away; nothing to salvage
+    ssize_t put =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (put <= 0) return false;  // nothing to salvage
     off += static_cast<std::size_t>(put);
   }
+  return true;
 }
 
 }  // namespace
@@ -106,8 +111,7 @@ void StatsHttpServer::serve_one(int client_fd) {
   head += content_type_for(path);
   head += "\r\nContent-Length: " + std::to_string(body.size()) +
           "\r\nConnection: close\r\n\r\n";
-  write_all(client_fd, head);
-  write_all(client_fd, body);
+  if (write_all(client_fd, head)) write_all(client_fd, body);
 }
 
 }  // namespace lls

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -27,6 +28,9 @@ constexpr std::size_t kMaxDatagram = kHeaderSize + kMaxFramePayload;
 constexpr std::size_t kSendBatch = 64;
 /// Inbound: datagrams drained per recvmmsg(2) call.
 constexpr std::size_t kRecvBatch = 16;
+/// Longest single wait, so calls posted from other threads (which do not
+/// wake the loop) are picked up promptly.
+constexpr Duration kMaxWait = 10 * kMillisecond;
 }  // namespace
 
 UdpNode::UdpNode(UdpNodeConfig config, std::unique_ptr<Actor> actor)
@@ -41,6 +45,8 @@ UdpNode::UdpNode(UdpNodeConfig config, std::unique_ptr<Actor> actor)
   frames_rejected_ = &reg.counter("udp.frames_rejected");
   sendmmsg_calls_ = &reg.counter("udp.sendmmsg_calls");
   recvmmsg_calls_ = &reg.counter("udp.recvmmsg_calls");
+  poll_calls_ = &reg.counter("udp.poll_calls");
+  idle_us_ = &reg.counter("udp.idle_us");
   pool_hits_ = &reg.counter("udp.pool_hits");
   pool_misses_ = &reg.counter("udp.pool_misses");
 }
@@ -210,61 +216,66 @@ void UdpNode::cancel_timer(TimerId timer) {
   if (timer != kInvalidTimer) cancelled_.insert(timer);
 }
 
-TimePoint UdpNode::next_deadline() {
+Duration UdpNode::next_wait(TimePoint at) {
   std::scoped_lock lock(mu_);
   if (!calls_.empty()) return 0;
-  if (timers_.empty()) return kTimeNever;
-  return timers_.top().deadline;
+  if (timers_.empty()) return kMaxWait;
+  return std::clamp<Duration>(timers_.top().deadline - at, 0, kMaxWait);
 }
 
 void UdpNode::run() {
+  std::vector<std::function<void()>> calls;
   while (running_.load()) {
-    // Fire posted calls and the timers that were due when this pass began.
-    // The cutoff is deliberately a snapshot: a handler that re-arms its
-    // timer as already-due waits for the next pass, so a timer storm can't
-    // pin the loop here — queued frames must reach flush_sends() below and
-    // the socket must be polled for the cluster to make progress (the old
-    // unbatched path sent inline from handlers; this one doesn't).
+    // Fire the calls posted and the timers due when this pass began. Both
+    // are snapshots: a call that posts another call, or a handler that
+    // re-arms its timer as already-due, waits for the next pass, so neither
+    // can pin the loop here — queued frames must reach flush_sends() below
+    // and the socket must be polled for the cluster to make progress (the
+    // old unbatched path sent inline from handlers; this one doesn't).
     const TimePoint due_cutoff = now();
+    {
+      std::scoped_lock lock(mu_);
+      calls.swap(calls_);
+    }
+    for (auto& call : calls) call();
+    calls.clear();  // keeps its capacity for the next swap
     for (;;) {
-      std::function<void()> call;
       TimerId due = kInvalidTimer;
       {
         std::scoped_lock lock(mu_);
-        if (!calls_.empty()) {
-          call = std::move(calls_.front());
-          calls_.erase(calls_.begin());
-        } else if (!timers_.empty() && timers_.top().deadline <= due_cutoff) {
-          due = timers_.top().id;
-          timers_.pop();
-          if (auto it = cancelled_.find(due); it != cancelled_.end()) {
-            cancelled_.erase(it);
-            due = kInvalidTimer;  // swallowed
-            continue;
-          }
-        } else {
-          break;
+        if (timers_.empty() || timers_.top().deadline > due_cutoff) break;
+        due = timers_.top().id;
+        timers_.pop();
+        if (auto it = cancelled_.find(due); it != cancelled_.end()) {
+          cancelled_.erase(it);
+          continue;  // swallowed
         }
       }
-      if (call) call();
-      if (due != kInvalidTimer) actor_->on_timer(*this, due);
+      actor_->on_timer(*this, due);
     }
 
     // Everything queued by the callbacks above leaves in one batch before
-    // the loop blocks; nothing sits in the queue across a poll().
+    // the loop blocks; nothing sits in the queue across a wait.
     flush_sends();
 
-    // Wait for a datagram, bounded by the next deadline (cap 10ms so posted
-    // calls are picked up promptly).
-    TimePoint next = next_deadline();
-    int timeout_ms = 10;
-    if (next != kTimeNever) {
-      auto until = (next - now()) / kMillisecond;
-      timeout_ms = static_cast<int>(std::max<Duration>(
-          0, std::min<Duration>(until, 10)));
-    }
+    // Sleep until a datagram arrives or the next deadline, whichever is
+    // first. The wait is never rounded down: the kernel does not end a
+    // timeout early and now() truncates to whole µs, so the next pass's
+    // due_cutoff is at or past the deadline and its timer fires then —
+    // one wake per deadline, never a run of zero-timeout re-polls.
+    const TimePoint blocked_at = now();
+    const Duration wait = next_wait(blocked_at);
     pollfd pfd{fd_, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, timeout_ms);
+#if defined(__linux__)
+    const timespec timeout{static_cast<time_t>(wait / kSecond),
+                           static_cast<long>(wait % kSecond) * 1000};
+    const int ready = ::ppoll(&pfd, 1, &timeout, nullptr);
+#else
+    const int ready = ::poll(
+        &pfd, 1, static_cast<int>((wait + kMillisecond - 1) / kMillisecond));
+#endif
+    poll_calls_->inc();
+    idle_us_->inc(static_cast<std::uint64_t>(now() - blocked_at));
     if (ready > 0 && (pfd.revents & POLLIN) != 0) drain_socket();
   }
   flush_sends();  // the loop is exiting: don't strand queued frames

@@ -16,6 +16,14 @@
 // so is a received frame whose body fails to decode (udp.frames_rejected).
 // On non-Linux platforms the same queueing logic degrades to
 // sendto/recvfrom loops.
+//
+// Event loop: each pass runs the posted calls and the timers due when it
+// began (snapshots, so no callback can keep a pass from ending), flushes
+// the send queue, then sleeps in ppoll(2) until a datagram arrives or the
+// next deadline, at µs precision and at most 10 ms — one wake per
+// deadline, no zero-timeout re-polls (udp.poll_calls counts the waits,
+// udp.idle_us the time blocked in them). The non-Linux fallback waits in
+// poll(2), rounding up to whole ms.
 #pragma once
 
 #include <netinet/in.h>
@@ -111,7 +119,9 @@ class UdpNode final : public Runtime {
   void flush_sends();
   void deliver_frame(const std::byte* data, std::size_t len);
   void sync_pool_counters();
-  [[nodiscard]] TimePoint next_deadline();
+  /// How long the loop may block from `at`: 0 while posted calls are
+  /// pending, else until the earliest timer deadline, capped at 10 ms.
+  [[nodiscard]] Duration next_wait(TimePoint at);
 
   UdpNodeConfig config_;
   std::unique_ptr<Actor> actor_;
@@ -127,6 +137,8 @@ class UdpNode final : public Runtime {
   obs::Counter* frames_rejected_ = nullptr;  ///< bodies that failed to decode
   obs::Counter* sendmmsg_calls_ = nullptr;
   obs::Counter* recvmmsg_calls_ = nullptr;
+  obs::Counter* poll_calls_ = nullptr;  ///< loop waits (one per pass)
+  obs::Counter* idle_us_ = nullptr;     ///< µs spent blocked in those waits
   obs::Counter* pool_hits_ = nullptr;
   obs::Counter* pool_misses_ = nullptr;
   std::unique_ptr<StatsHttpServer> stats_server_;

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <thread>
 
 #include "net/message.h"
@@ -391,6 +393,176 @@ TEST(UdpRuntime, UndecodableFramesAreDroppedNotFatal) {
   EXPECT_TRUE(put_done.load());
   EXPECT_TRUE(still_agreed);
   EXPECT_EQ(after, before);
+}
+
+/// Arms one timer at start and records that it fired; sends nothing.
+class OneShot final : public Actor {
+ public:
+  explicit OneShot(Duration delay) : delay_(delay) {}
+  void on_start(Runtime& rt) override { rt.set_timer(delay_); }
+  void on_message(Runtime&, ProcessId, MessageType, BytesView) override {}
+  void on_timer(Runtime&, TimerId) override { fired.store(true); }
+  std::atomic<bool> fired{false};
+
+ private:
+  Duration delay_;
+};
+
+/// Runs fn on the node's loop thread and waits for it; false on timeout.
+template <typename Fn>
+bool on_loop(UdpNode& node, Fn fn) {
+  std::atomic<bool> done{false};
+  node.post([&]() {
+    fn();
+    done.store(true);
+  });
+  for (int i = 0; i < 1000 && !done.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return done.load();
+}
+
+TEST(UdpRuntime, IdleLoopSleepsUntilItsNextTimer) {
+  // A lone node (its peer is never started) re-arms a 3 ms timer; each tick
+  // also arms and cancels a 1.5 ms one, which stays at the top of the timer
+  // heap until its deadline passes. Sleeping until each deadline costs about
+  // one wait per deadline; rounding the wait down to whole ms would re-poll
+  // with a zero timeout through the last millisecond before every one.
+  class Ticker final : public Actor {
+   public:
+    void on_start(Runtime& rt) override { arm(rt); }
+    void on_message(Runtime&, ProcessId, MessageType, BytesView) override {}
+    void on_timer(Runtime& rt, TimerId) override {
+      if (rt.now() < deadline_) ++early;
+      ++ticks;
+      arm(rt);
+    }
+    int ticks = 0;
+    int cancels = 0;
+    int early = 0;
+
+   private:
+    void arm(Runtime& rt) {
+      deadline_ = rt.now() + 3 * kMillisecond;
+      rt.set_timer(3 * kMillisecond);
+      rt.cancel_timer(rt.set_timer(1500 * kMicrosecond));
+      ++cancels;
+    }
+    TimePoint deadline_ = 0;
+  };
+  auto ticker_owned = std::make_unique<Ticker>();
+  Ticker& ticker = *ticker_owned;
+  UdpNodeConfig cfg;
+  cfg.n = 2;
+  cfg.base_port = static_cast<std::uint16_t>(test_port_base() + 12500);
+  UdpNode node(cfg, std::move(ticker_owned));
+  node.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  // Read everything on the loop thread, where the ticker and counters live.
+  int ticks = 0, cancels = 0, early = 0;
+  std::uint64_t polls = 0, idle_us = 0;
+  TimePoint elapsed = 0;
+  ASSERT_TRUE(on_loop(node, [&]() {
+    ticks = ticker.ticks;
+    cancels = ticker.cancels;
+    early = ticker.early;
+    polls = node.obs().registry().counter("udp.poll_calls").value();
+    idle_us = node.obs().registry().counter("udp.idle_us").value();
+    elapsed = node.now();
+  }));
+  node.stop();
+  // Generous bounds: the suite runs real-time tests in parallel.
+  EXPECT_EQ(early, 0);
+  EXPECT_GE(ticks, 50);
+  EXPECT_LE(polls, static_cast<std::uint64_t>(3 * (ticks + cancels) + 50));
+  EXPECT_GE(static_cast<double>(idle_us), 0.5 * static_cast<double>(elapsed));
+}
+
+TEST(UdpRuntime, SelfRepostingCallDoesNotStarveTimers) {
+  // A posted call that posts itself again, for up to 100 ms, must not keep
+  // a 5 ms timer from firing: posted calls drain as a snapshot per pass.
+  auto shot_owned = std::make_unique<OneShot>(5 * kMillisecond);
+  OneShot& shot = *shot_owned;
+  UdpNodeConfig cfg;
+  cfg.n = 2;
+  cfg.base_port = static_cast<std::uint16_t>(test_port_base() + 7500);
+  UdpNode node(cfg, std::move(shot_owned));
+  node.start();
+  TimePoint give_up = kTimeNever;
+  std::atomic<bool> starved{false};
+  std::atomic<bool> done{false};
+  std::function<void()> repost = [&]() {
+    if (give_up == kTimeNever) give_up = node.now() + 100 * kMillisecond;
+    if (shot.fired.load()) {
+      done.store(true);
+    } else if (node.now() >= give_up) {
+      starved.store(true);
+      done.store(true);
+    } else {
+      node.post(repost);
+    }
+  };
+  node.post(repost);
+  for (int i = 0; i < 1000 && !done.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  node.stop();
+  EXPECT_TRUE(done.load());
+  EXPECT_FALSE(starved.load());
+}
+
+// --- Stats endpoint ------------------------------------------------------------
+
+/// A TCP connection to the node's stats server that has sent `GET path`.
+int open_scrape(std::uint16_t port, const std::string& path) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::send(fd, request.data(), request.size(), 0) !=
+          static_cast<ssize_t>(request.size())) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(StatsHttp, AbandonedScrapeDoesNotKillTheNode) {
+  // A client that resets the connection after its GET makes the server's
+  // writes fail; that must not raise SIGPIPE, which would end the process.
+  UdpNodeConfig cfg;
+  cfg.n = 2;
+  cfg.base_port = static_cast<std::uint16_t>(test_port_base() + 2500);
+  cfg.stats_port = kAnyStatsPort;
+  UdpNode node(cfg, std::make_unique<OneShot>(kSecond));
+  node.start();
+  const std::uint16_t port = node.stats_port();
+  ASSERT_NE(port, 0);
+  for (int i = 0; i < 5; ++i) {
+    const int fd = open_scrape(port, "/metrics");
+    ASSERT_GE(fd, 0);
+    const linger reset{1, 0};  // close() sends RST, not FIN
+    ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+    ::close(fd);
+  }
+  const int fd = open_scrape(port, "/metrics");
+  ASSERT_GE(fd, 0);
+  std::string response;
+  char buf[4096];
+  for (ssize_t got; (got = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+    response.append(buf, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  node.stop();
+  EXPECT_EQ(response.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << response;
+  EXPECT_NE(response.find("udp_poll_calls"), std::string::npos);
 }
 
 }  // namespace
