@@ -28,9 +28,6 @@ constexpr std::size_t kMaxDatagram = kHeaderSize + kMaxFramePayload;
 constexpr std::size_t kSendBatch = 64;
 /// Inbound: datagrams drained per recvmmsg(2) call.
 constexpr std::size_t kRecvBatch = 16;
-/// Longest single wait, so calls posted from other threads (which do not
-/// wake the loop) are picked up promptly.
-constexpr Duration kMaxWait = 10 * kMillisecond;
 }  // namespace
 
 UdpNode::UdpNode(UdpNodeConfig config, std::unique_ptr<Actor> actor)
@@ -136,10 +133,7 @@ std::uint16_t UdpNode::stats_port() const {
   return stats_server_ != nullptr ? stats_server_->port() : 0;
 }
 
-void UdpNode::post(std::function<void()> fn) {
-  std::scoped_lock lock(mu_);
-  calls_.push_back(std::move(fn));
-}
+void UdpNode::post(std::function<void()> fn) { loop_.post(std::move(fn)); }
 
 void UdpNode::send(ProcessId dst, MessageType type, BytesView payload) {
   if (dst == config_.id || dst >= static_cast<ProcessId>(config_.n)) return;
@@ -205,66 +199,28 @@ void UdpNode::sync_pool_counters() {
 }
 
 TimerId UdpNode::set_timer(Duration delay) {
-  std::scoped_lock lock(mu_);
-  TimerId tid = next_timer_++;
-  timers_.push(TimerEntry{now() + (delay < 0 ? 0 : delay), tid});
-  return tid;
+  return loop_.set_timer(now(), delay);
 }
 
-void UdpNode::cancel_timer(TimerId timer) {
-  std::scoped_lock lock(mu_);
-  if (timer != kInvalidTimer) cancelled_.insert(timer);
-}
-
-Duration UdpNode::next_wait(TimePoint at) {
-  std::scoped_lock lock(mu_);
-  if (!calls_.empty()) return 0;
-  if (timers_.empty()) return kMaxWait;
-  return std::clamp<Duration>(timers_.top().deadline - at, 0, kMaxWait);
-}
+void UdpNode::cancel_timer(TimerId timer) { loop_.cancel_timer(timer); }
 
 void UdpNode::run() {
-  std::vector<std::function<void()>> calls;
+  const std::function<void(TimerId)> fire_timer = [this](TimerId timer) {
+    actor_->on_timer(*this, timer);
+  };
   while (running_.load()) {
-    // Fire the calls posted and the timers due when this pass began. Both
-    // are snapshots: a call that posts another call, or a handler that
-    // re-arms its timer as already-due, waits for the next pass, so neither
-    // can pin the loop here — queued frames must reach flush_sends() below
-    // and the socket must be polled for the cluster to make progress (the
-    // old unbatched path sent inline from handlers; this one doesn't).
-    const TimePoint due_cutoff = now();
-    {
-      std::scoped_lock lock(mu_);
-      calls.swap(calls_);
-    }
-    for (auto& call : calls) call();
-    calls.clear();  // keeps its capacity for the next swap
-    for (;;) {
-      TimerId due = kInvalidTimer;
-      {
-        std::scoped_lock lock(mu_);
-        if (timers_.empty() || timers_.top().deadline > due_cutoff) break;
-        due = timers_.top().id;
-        timers_.pop();
-        if (auto it = cancelled_.find(due); it != cancelled_.end()) {
-          cancelled_.erase(it);
-          continue;  // swallowed
-        }
-      }
-      actor_->on_timer(*this, due);
-    }
+    loop_.run_pass(now(), fire_timer);
 
     // Everything queued by the callbacks above leaves in one batch before
     // the loop blocks; nothing sits in the queue across a wait.
     flush_sends();
 
     // Sleep until a datagram arrives or the next deadline, whichever is
-    // first. The wait is never rounded down: the kernel does not end a
-    // timeout early and now() truncates to whole µs, so the next pass's
-    // due_cutoff is at or past the deadline and its timer fires then —
-    // one wake per deadline, never a run of zero-timeout re-polls.
+    // first. The kernel does not end a timeout early and now() truncates to
+    // whole µs, so the next pass's cutoff is at or past the deadline and
+    // its timer fires then: one wake per deadline.
     const TimePoint blocked_at = now();
-    const Duration wait = next_wait(blocked_at);
+    const Duration wait = loop_.next_wait(blocked_at);
     pollfd pfd{fd_, POLLIN, 0};
 #if defined(__linux__)
     const timespec timeout{static_cast<time_t>(wait / kSecond),

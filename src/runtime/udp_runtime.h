@@ -17,13 +17,11 @@
 // On non-Linux platforms the same queueing logic degrades to
 // sendto/recvfrom loops.
 //
-// Event loop: each pass runs the posted calls and the timers due when it
-// began (snapshots, so no callback can keep a pass from ending), flushes
-// the send queue, then sleeps in ppoll(2) until a datagram arrives or the
-// next deadline, at µs precision and at most 10 ms — one wake per
-// deadline, no zero-timeout re-polls (udp.poll_calls counts the waits,
-// udp.idle_us the time blocked in them). The non-Linux fallback waits in
-// poll(2), rounding up to whole ms.
+// Event loop: pass, flush, wait, drain. LoopCore (runtime/loop_core.h)
+// owns the pass and the wait's length; the node blocks in ppoll(2) at µs
+// precision (udp.poll_calls counts the waits, udp.idle_us the time blocked
+// in them). The non-Linux fallback waits in poll(2), rounding up to whole
+// ms.
 #pragma once
 
 #include <netinet/in.h>
@@ -32,15 +30,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <queue>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/actor.h"
 #include "common/buffer_pool.h"
+#include "runtime/loop_core.h"
 #include "runtime/stats_http.h"
 
 namespace lls {
@@ -100,14 +96,6 @@ class UdpNode final : public Runtime {
   [[nodiscard]] BufferPool& pool() override { return pool_; }
 
  private:
-  struct TimerEntry {
-    TimePoint deadline;
-    TimerId id;
-    bool operator>(const TimerEntry& o) const {
-      return deadline > o.deadline || (deadline == o.deadline && id > o.id);
-    }
-  };
-
   /// One queued outbound datagram: destination + pooled wire frame.
   struct PendingSend {
     ProcessId dst = kNoProcess;
@@ -119,9 +107,6 @@ class UdpNode final : public Runtime {
   void flush_sends();
   void deliver_frame(const std::byte* data, std::size_t len);
   void sync_pool_counters();
-  /// How long the loop may block from `at`: 0 while posted calls are
-  /// pending, else until the earliest timer deadline, capped at 10 ms.
-  [[nodiscard]] Duration next_wait(TimePoint at);
 
   UdpNodeConfig config_;
   std::unique_ptr<Actor> actor_;
@@ -151,17 +136,10 @@ class UdpNode final : public Runtime {
   std::uint64_t synced_pool_hits_ = 0;
   std::uint64_t synced_pool_misses_ = 0;
 
+  LoopCore loop_;
   int fd_ = -1;
   std::thread thread_;
   std::atomic<bool> running_{false};
-
-  std::mutex mu_;  // guards timers_, cancelled_, calls_
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>,
-                      std::greater<TimerEntry>>
-      timers_;
-  std::unordered_set<TimerId> cancelled_;
-  std::vector<std::function<void()>> calls_;
-  TimerId next_timer_ = 1;
 };
 
 }  // namespace lls

@@ -1,4 +1,5 @@
-// Tests of the real-time runtimes: the thread cluster and the UDP node.
+// Tests of the UDP runtime and its stats endpoint. The loop's scheduling
+// policy is tested in virtual time in loop_core_test.cc.
 // Durations are kept short; assertions allow generous scheduling slack.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -14,10 +15,8 @@
 #include <thread>
 
 #include "net/message.h"
-#include "net/topology.h"
 #include "omega/ce_omega.h"
 #include "rsm/replica.h"
-#include "runtime/thread_runtime.h"
 #include "runtime/udp_runtime.h"
 
 namespace lls {
@@ -31,169 +30,19 @@ CeOmegaConfig fast_omega() {
   return c;
 }
 
+/// Ω timeouts long enough for a suite that runs real-time tests in parallel.
+CeOmegaConfig patient_omega() {
+  CeOmegaConfig c;
+  c.eta = 5 * kMillisecond;
+  c.initial_timeout = 100 * kMillisecond;
+  c.additive_step = 20 * kMillisecond;
+  return c;
+}
+
 LogConsensusConfig fast_log() {
   LogConsensusConfig c;
   c.retry_period = 5 * kMillisecond;
   return c;
-}
-
-/// Simple ping actor for plumbing tests.
-class Ping final : public Actor {
- public:
-  void on_start(Runtime& rt) override {
-    if (rt.id() == 0) rt.send(1, 0x0900, {});
-    timer_ = rt.set_timer(5 * kMillisecond);
-  }
-  void on_message(Runtime& rt, ProcessId src, MessageType, BytesView) override {
-    ++received;
-    if (rt.id() == 1 && received == 1) rt.send(src, 0x0900, {});
-  }
-  void on_timer(Runtime& rt, TimerId) override {
-    ++ticks;
-    timer_ = rt.set_timer(5 * kMillisecond);
-  }
-  std::atomic<int> received{0};
-  std::atomic<int> ticks{0};
-
- private:
-  TimerId timer_ = kInvalidTimer;
-};
-
-TEST(ThreadCluster, DeliversMessagesAndFiresTimers) {
-  ThreadCluster cluster({2, 1}, make_all_timely({100, 500}));
-  auto& a = cluster.emplace_actor<Ping>(0);
-  auto& b = cluster.emplace_actor<Ping>(1);
-  cluster.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  cluster.stop();
-  EXPECT_GE(b.received.load(), 1);
-  EXPECT_GE(a.received.load(), 1);  // pong came back
-  EXPECT_GE(a.ticks.load(), 5);
-}
-
-TEST(ThreadCluster, ElectsLeaderInRealTime) {
-  ThreadCluster cluster({3, 2}, make_all_timely({100, 500}));
-  std::vector<CeOmega*> omegas;
-  for (ProcessId p = 0; p < 3; ++p) {
-    omegas.push_back(&cluster.emplace_actor<CeOmega>(p, fast_omega()));
-  }
-  cluster.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  // Sample leader views on the owning threads to avoid data races.
-  std::vector<ProcessId> leaders(3, kNoProcess);
-  std::atomic<int> done{0};
-  for (ProcessId p = 0; p < 3; ++p) {
-    cluster.post(p, [&, p]() {
-      leaders[p] = omegas[p]->leader();
-      done.fetch_add(1);
-    });
-  }
-  for (int i = 0; i < 100 && done.load() < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  cluster.stop();
-  ASSERT_EQ(done.load(), 3);
-  EXPECT_EQ(leaders[0], 0u);
-  EXPECT_EQ(leaders[1], 0u);
-  EXPECT_EQ(leaders[2], 0u);
-}
-
-TEST(ThreadCluster, FailsOverAfterCrash) {
-  ThreadCluster cluster({3, 3}, make_all_timely({100, 500}));
-  std::vector<CeOmega*> omegas;
-  for (ProcessId p = 0; p < 3; ++p) {
-    omegas.push_back(&cluster.emplace_actor<CeOmega>(p, fast_omega()));
-  }
-  cluster.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  cluster.crash(0);
-  // Poll until the survivors converge on p1 (wall-clock timers can be
-  // starved under parallel test load; allow a generous deadline).
-  std::vector<ProcessId> leaders(3, kNoProcess);
-  for (int round = 0; round < 250; ++round) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    std::atomic<int> done{0};
-    for (ProcessId p = 1; p < 3; ++p) {
-      cluster.post(p, [&, p]() {
-        leaders[p] = omegas[p]->leader();
-        done.fetch_add(1);
-      });
-    }
-    for (int i = 0; i < 100 && done.load() < 2; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    if (leaders[1] == 1u && leaders[2] == 1u) break;
-  }
-  cluster.stop();
-  EXPECT_EQ(leaders[1], 1u);
-  EXPECT_EQ(leaders[2], 1u);
-  EXPECT_FALSE(cluster.alive(0));
-}
-
-TEST(ThreadCluster, ReplicatedKvEndToEnd) {
-  ThreadCluster cluster({3, 4}, make_all_timely({100, 500}));
-  std::vector<KvReplica*> replicas;
-  for (ProcessId p = 0; p < 3; ++p) {
-    replicas.push_back(&cluster.emplace_actor<KvReplica>(
-        p, KvReplica::Options{.omega = fast_omega(),
-                              .consensus = fast_log()}));
-  }
-  cluster.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  std::atomic<bool> put_done{false};
-  cluster.post(1, [&]() {
-    replicas[1]->submit(KvOp::kPut, "greeting", "hello", "",
-                        [&](const KvResult&) { put_done.store(true); });
-  });
-  for (int i = 0; i < 200 && !put_done.load(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_TRUE(put_done.load());
-
-  // Let decides propagate, then check convergence on the owning threads.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  std::vector<std::uint64_t> digests(3, 0);
-  std::atomic<int> done{0};
-  for (ProcessId p = 0; p < 3; ++p) {
-    cluster.post(p, [&, p]() {
-      digests[p] = replicas[p]->store().digest();
-      done.fetch_add(1);
-    });
-  }
-  for (int i = 0; i < 100 && done.load() < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  cluster.stop();
-  ASSERT_EQ(done.load(), 3);
-  EXPECT_EQ(digests[0], digests[1]);
-  EXPECT_EQ(digests[1], digests[2]);
-}
-
-TEST(ThreadCluster, LossyLinksStillConverge) {
-  ThreadCluster cluster({3, 5},
-                        make_all_fair_lossy({0.3, 4, {100, 2 * kMillisecond}}));
-  std::vector<CeOmega*> omegas;
-  for (ProcessId p = 0; p < 3; ++p) {
-    omegas.push_back(&cluster.emplace_actor<CeOmega>(p, fast_omega()));
-  }
-  cluster.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(800));
-  std::vector<ProcessId> leaders(3, kNoProcess);
-  std::atomic<int> done{0};
-  for (ProcessId p = 0; p < 3; ++p) {
-    cluster.post(p, [&, p]() {
-      leaders[p] = omegas[p]->leader();
-      done.fetch_add(1);
-    });
-  }
-  for (int i = 0; i < 100 && done.load() < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  cluster.stop();
-  ASSERT_EQ(done.load(), 3);
-  EXPECT_EQ(leaders[0], leaders[1]);
-  EXPECT_EQ(leaders[1], leaders[2]);
 }
 
 // --- UDP ---------------------------------------------------------------------
@@ -201,6 +50,20 @@ TEST(ThreadCluster, LossyLinksStillConverge) {
 std::uint16_t test_port_base() {
   // Derive from the PID to dodge collisions between parallel test runs.
   return static_cast<std::uint16_t>(30000 + (::getpid() % 20000));
+}
+
+/// Runs fn on the node's loop thread and waits for it; false on timeout.
+template <typename Fn>
+bool on_loop(UdpNode& node, Fn fn) {
+  std::atomic<bool> done{false};
+  node.post([&]() {
+    fn();
+    done.store(true);
+  });
+  for (int i = 0; i < 1000 && !done.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return done.load();
 }
 
 TEST(UdpRuntime, ElectsLeaderOverLocalhost) {
@@ -236,6 +99,100 @@ TEST(UdpRuntime, ElectsLeaderOverLocalhost) {
   EXPECT_EQ(leaders[0], 0u);
   EXPECT_EQ(leaders[1], 0u);
   EXPECT_EQ(leaders[2], 0u);
+}
+
+TEST(UdpRuntime, FailsOverAfterLeaderStops) {
+  // Three CE-Ω nodes elect p0; once p0's node stops, the survivors agree
+  // on p1.
+  const int n = 3;
+  const auto base = static_cast<std::uint16_t>(test_port_base() + 15000);
+  std::vector<std::unique_ptr<UdpNode>> nodes;
+  std::vector<CeOmega*> omegas;
+  for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
+    auto actor = std::make_unique<CeOmega>(patient_omega());
+    omegas.push_back(actor.get());
+    UdpNodeConfig cfg;
+    cfg.id = p;
+    cfg.n = n;
+    cfg.base_port = base;
+    nodes.push_back(std::make_unique<UdpNode>(cfg, std::move(actor)));
+  }
+  for (auto& node : nodes) node->start();
+
+  // True when nodes first..n-1 all trust `leader` (read on their loops).
+  auto all_trust = [&](ProcessId leader, ProcessId first) {
+    for (ProcessId p = first; p < static_cast<ProcessId>(n); ++p) {
+      ProcessId seen = kNoProcess;
+      if (!on_loop(*nodes[p], [&]() { seen = omegas[p]->leader(); }) ||
+          seen != leader) {
+        return false;
+      }
+    }
+    return true;
+  };
+  bool elected = false;
+  for (int i = 0; i < 100 && !(elected = all_trust(0, 0)); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  ASSERT_TRUE(elected);
+
+  nodes[0]->stop();
+  bool failed_over = false;
+  for (int i = 0; i < 100 && !(failed_over = all_trust(1, 1)); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  for (auto& node : nodes) node->stop();
+  EXPECT_TRUE(failed_over);
+}
+
+TEST(UdpRuntime, ReplicatedKvEndToEnd) {
+  // A put submitted at one of three KvReplica nodes commits, and every
+  // replica's store converges to the same digest.
+  const int n = 3;
+  const auto base = static_cast<std::uint16_t>(test_port_base() + 3750);
+  std::vector<std::unique_ptr<UdpNode>> nodes;
+  std::vector<KvReplica*> replicas;
+  for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
+    auto replica = std::make_unique<KvReplica>(KvReplica::Options{
+        .omega = patient_omega(), .consensus = fast_log()});
+    replicas.push_back(replica.get());
+    UdpNodeConfig cfg;
+    cfg.id = p;
+    cfg.n = n;
+    cfg.base_port = base;
+    nodes.push_back(std::make_unique<UdpNode>(cfg, std::move(replica)));
+  }
+  for (auto& node : nodes) node->start();
+
+  std::atomic<bool> put_done{false};
+  nodes[1]->post([&]() {
+    replicas[1]->submit(KvOp::kPut, "greeting", "hello", "",
+                        [&](const KvResult&) { put_done.store(true); });
+  });
+  for (int i = 0; i < 1000 && !put_done.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(put_done.load());
+
+  // Decides reach the followers after the reply: poll until the digests,
+  // each read on its node's loop thread, agree.
+  std::vector<std::uint64_t> digests(n, 0);
+  auto converged = [&]() {
+    for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
+      if (!on_loop(*nodes[p],
+                   [&, p]() { digests[p] = replicas[p]->store().digest(); })) {
+        return false;
+      }
+    }
+    return digests[0] == digests[1] && digests[1] == digests[2];
+  };
+  bool same_state = false;
+  for (int i = 0; i < 100 && put_done.load() && !(same_state = converged());
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  for (auto& node : nodes) node->stop();
+  EXPECT_TRUE(same_state);
 }
 
 TEST(UdpRuntime, RefusedFrameDropsAloneNotTheQueueBehindIt) {
@@ -297,15 +254,11 @@ TEST(UdpRuntime, UndecodableFramesAreDroppedNotFatal) {
   // are generous: the suite runs real-time tests in parallel.
   const int n = 3;
   const auto base = static_cast<std::uint16_t>(test_port_base() + 5000);
-  CeOmegaConfig omega;
-  omega.eta = 5 * kMillisecond;
-  omega.initial_timeout = 100 * kMillisecond;
-  omega.additive_step = 20 * kMillisecond;
   std::vector<std::unique_ptr<UdpNode>> nodes;
   std::vector<KvReplica*> replicas;
   for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
     KvReplica::Options options;
-    options.omega = omega;
+    options.omega = patient_omega();
     options.consensus = fast_log();
     auto replica = std::make_unique<KvReplica>(options);
     replicas.push_back(replica.get());
@@ -407,20 +360,6 @@ class OneShot final : public Actor {
  private:
   Duration delay_;
 };
-
-/// Runs fn on the node's loop thread and waits for it; false on timeout.
-template <typename Fn>
-bool on_loop(UdpNode& node, Fn fn) {
-  std::atomic<bool> done{false};
-  node.post([&]() {
-    fn();
-    done.store(true);
-  });
-  for (int i = 0; i < 1000 && !done.load(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return done.load();
-}
 
 TEST(UdpRuntime, IdleLoopSleepsUntilItsNextTimer) {
   // A lone node (its peer is never started) re-arms a 3 ms timer; each tick
