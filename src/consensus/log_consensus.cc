@@ -33,19 +33,102 @@ void LogConsensus::on_start(Runtime& rt) {
   tick_timer_ = rt.set_timer(config_.retry_period);
 }
 
-void LogConsensus::persist(Runtime& rt) const {
+// ---------------------------------------------------------------------------
+// Durable state (crash-recovery extension): a checkpoint under durable_key_
+// plus a ring of journal records after it (DESIGN.md §7).
+// ---------------------------------------------------------------------------
+
+void LogState::record(LogChange::Kind kind, Round round, Instance i,
+                      BytesView value) {
+  if (journal != nullptr) {
+    wire::append(*journal, LogChange{kind, round, i, WireBlob::ref(value)});
+  }
+}
+
+bool LogState::promise(Round round) {
+  const Round before = acceptor.promised();
+  if (!acceptor.on_prepare(round)) return false;
+  if (acceptor.promised() != before) {
+    record(LogChange::Kind::kPromise, round, 0, {});
+  }
+  return true;
+}
+
+bool LogState::accept(Round round, Instance i, BytesView value) {
+  if (!acceptor.on_accept(round, i, value)) return false;
+  record(LogChange::Kind::kAccept, round, i, value);
+  return true;
+}
+
+void LogState::decide(Instance i, BytesView value) {
+  const Instance rel = i - base;
+  if (rel >= log.size()) log.resize(rel + 1);
+  log[rel] = Bytes(value.begin(), value.end());
+  record(LogChange::Kind::kDecide, kNoRound, i, value);
+}
+
+void LogState::compact(Instance upto) {
+  log.erase(log.begin(),
+            log.begin() + static_cast<std::ptrdiff_t>(upto - base));
+  base = upto;
+  acceptor.forget_upto(upto);
+}
+
+void LogState::apply(const LogChange& change) {
+  switch (change.kind) {
+    case LogChange::Kind::kPromise:
+      promise(change.round);
+      break;
+    case LogChange::Kind::kAccept:
+      accept(change.round, change.instance, change.value.view());
+      break;
+    case LogChange::Kind::kDecide:
+      decide(change.instance, change.value.view());
+      break;
+  }
+}
+
+StableStorage& LogConsensus::durable_storage(Runtime& rt) const {
   StableStorage* storage = rt.storage();
   if (storage == nullptr) {
     throw std::logic_error("durable LogConsensus requires Runtime::storage()");
   }
-  storage->write(durable_key_, state_.encode());
+  return *storage;
+}
+
+const std::string& LogConsensus::journal_key(std::uint64_t seq) {
+  journal_key_.assign(durable_key_);
+  journal_key_ += "/journal/";
+  journal_key_ += std::to_string(seq % kJournalSlots);
+  return journal_key_;
+}
+
+void LogConsensus::persist(Runtime& rt) {
+  StableStorage& storage = durable_storage(rt);
+  // Slot journal_seq_ % K still holds record journal_seq_ - K, which replay
+  // needs unless the checkpoint covers it; if not, a checkpoint of the
+  // current state takes this write's place.
+  if (journal_seq_ >= checkpoint_seq_ + kJournalSlots) {
+    checkpoint(storage);
+    return;
+  }
+  auto record = wire::encode_pooled(
+      rt.pool(), LogRecord{journal_seq_, WireBlob::ref(journal_)});
+  storage.write(journal_key(journal_seq_), record.view());
+  ++journal_seq_;
+  journal_.clear();
+}
+
+void LogConsensus::checkpoint(StableStorage& storage) {
+  const Bytes state = state_.encode();
+  storage.write(durable_key_,
+                LogCheckpoint{journal_seq_, WireBlob::ref(state)}.encode());
+  checkpoint_seq_ = journal_seq_;
+  journal_.clear();
 }
 
 void LogConsensus::restore(Runtime& rt) {
-  StableStorage* storage = rt.storage();
-  if (storage == nullptr) {
-    throw std::logic_error("durable LogConsensus requires Runtime::storage()");
-  }
+  StableStorage& storage = durable_storage(rt);
   // Crash-recovery conservatism: fences are volatile, so a recovered
   // acceptor may have granted a supporting reply it no longer remembers.
   // Refuse support to EVERYONE (fence-all: holder = kNoProcess) for one
@@ -57,9 +140,29 @@ void LogConsensus::restore(Runtime& rt) {
     fence_round_ = kNoRound;
     fence_until_ = rt.now() + config_.lease.duration;
   }
-  auto blob = storage->read(durable_key_);
-  if (!blob.has_value()) return;  // first boot
-  state_ = LogState::decode(*blob);
+  if (auto blob = storage.read(durable_key_); blob.has_value()) {
+    const auto cp = LogCheckpoint::decode(*blob);
+    state_ = LogState::decode(cp.state.view());
+    checkpoint_seq_ = cp.next_seq;
+  }
+  // Replay the records after the checkpoint. The journal ends at the first
+  // slot that is empty, holds a record from an earlier lap, or holds one
+  // that does not decode whole (a torn tail); the next persist overwrites
+  // that slot.
+  for (journal_seq_ = checkpoint_seq_;; ++journal_seq_) {
+    auto blob = storage.read(journal_key(journal_seq_));
+    if (!blob.has_value()) break;
+    std::vector<LogChange> changes;
+    try {
+      const auto record = LogRecord::decode(*blob);
+      if (record.seq != journal_seq_) break;
+      changes = wire::decode_all<LogChange>(record.changes.view());
+    } catch (const SerializationError&) {
+      break;
+    }
+    for (const LogChange& change : changes) state_.apply(change);
+  }
+  state_.journal = &journal_;
   highest_seen_round_ =
       std::max(highest_seen_round_, state_.acceptor.promised());
   // Re-deliver decisions for the restored contiguous prefix so a recovering
@@ -165,7 +268,10 @@ void LogConsensus::start_prepare(Runtime& rt) {
   prepare_from_ = first_undecided();
 
   // Self-promise: raise the local acceptor's promise and merge its state.
-  state_.acceptor.on_prepare(my_round_);
+  // The promise is durable before the PREPARE leaves, so a recovered
+  // process never reuses a ballot it already sent.
+  state_.promise(my_round_);
+  if (config_.durable) persist(rt);
   promises_.insert(self_);
   for (const auto& pair : state_.acceptor.all_accepted()) {
     const Instance i = pair.instance;
@@ -216,7 +322,7 @@ void LogConsensus::become_ready(Runtime& rt) {
     InFlight inf;
     inf.value = pair.value;
     inf.acks.insert(self_);
-    state_.acceptor.on_accept(my_round_, i, inf.value);
+    state_.accept(my_round_, i, inf.value);
     inflight_[i] = std::move(inf);
     accept_started_.try_emplace(i, rt.now());
     for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
@@ -251,7 +357,7 @@ void LogConsensus::assign_pending(Runtime& rt) {
     InFlight inf;
     inf.value = std::move(value);
     inf.acks.insert(self_);
-    state_.acceptor.on_accept(my_round_, i, inf.value);
+    state_.accept(my_round_, i, inf.value);
     inflight_[i] = std::move(inf);
     accept_started_.try_emplace(i, rt.now());
     for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
@@ -329,10 +435,8 @@ void LogConsensus::abdicate() {
 
 void LogConsensus::learn(Runtime& rt, Instance i, BytesView value) {
   if (i < state_.base) return;  // compacted: decided long ago
-  Instance rel = i - state_.base;
-  if (rel >= state_.log.size()) state_.log.resize(rel + 1);
-  if (state_.log[rel].has_value()) {
-    if (!bytes_equal(*state_.log[rel], value)) {
+  if (const Bytes* decided = decided_value(i); decided != nullptr) {
+    if (!bytes_equal(*decided, value)) {
       // Agreement tripwire: two different values decided for one instance
       // would falsify Paxos safety; fail loudly.
       throw std::logic_error("consensus agreement violated at instance " +
@@ -351,7 +455,7 @@ void LogConsensus::learn(Runtime& rt, Instance i, BytesView value) {
     }
     return;
   }
-  state_.log[rel] = Bytes(value.begin(), value.end());
+  state_.decide(i, value);
   if (auto it = inflight_.find(i); it != inflight_.end()) {
     // The instance decided against a different value: another leader won
     // the slot while ours was in flight (e.g. this proposer was partitioned
@@ -466,7 +570,7 @@ void LogConsensus::handle_prepare(Runtime& rt, ProcessId src,
   if (msg.from < state_.base) return;
   highest_seen_round_ = std::max(highest_seen_round_, msg.round);
   Round before = state_.acceptor.promised();
-  if (!state_.acceptor.on_prepare(msg.round)) {
+  if (!state_.promise(msg.round)) {
     rt.send(src, msg_type::kNack,
             wire::encode_pooled(rt.pool(),
                                 NackMsg{msg.round, state_.acceptor.promised()})
@@ -526,7 +630,7 @@ void LogConsensus::handle_accept(Runtime& rt, ProcessId src,
   // toward everyone but the fence holder.
   if (fenced_against(src, rt.now())) return;
   highest_seen_round_ = std::max(highest_seen_round_, msg.round);
-  if (!state_.acceptor.on_accept(msg.round, msg.instance, msg.value.view())) {
+  if (!state_.accept(msg.round, msg.instance, msg.value.view())) {
     rt.send(src, msg_type::kNack,
             wire::encode_pooled(rt.pool(),
                                 NackMsg{msg.round, state_.acceptor.promised()})
@@ -606,12 +710,10 @@ Instance LogConsensus::compact(Instance upto) {
     upto = std::min(upto, decide_unacked_.begin()->first);
   }
   if (upto <= state_.base) return state_.base;
-  state_.log.erase(
-      state_.log.begin(),
-      state_.log.begin() + static_cast<std::ptrdiff_t>(upto - state_.base));
-  state_.base = upto;
-  state_.acceptor.forget_upto(upto);
-  if (config_.durable && rt_ != nullptr) persist(*rt_);
+  state_.compact(upto);
+  // The state just shrank, so this is the cheapest moment to checkpoint it
+  // (it also carries any journaled changes not yet written).
+  if (config_.durable && rt_ != nullptr) checkpoint(durable_storage(*rt_));
   return state_.base;
 }
 

@@ -41,13 +41,23 @@ struct LogConsensusConfig {
   /// Retransmission / leadership-poll period.
   Duration retry_period = 20 * kMillisecond;
 
-  /// Crash-recovery extension: persist the acceptor state and the decided
-  /// log to Runtime::storage() on every mutation, and restore them on
-  /// (re)start. With this on, Paxos safety survives crash/recovery cycles
-  /// (the classical durable-acceptor discipline); requires a runtime that
-  /// provides storage (the simulator's crash-recovery mode). The decision
-  /// sink re-fires for the restored prefix on recovery, letting the
-  /// application rebuild its state machine.
+  /// Crash-recovery extension: keep the acceptor state and the decided log
+  /// in Runtime::storage() and restore them on (re)start, so Paxos safety
+  /// survives crash/recovery cycles (the classical durable-acceptor
+  /// discipline); requires a runtime that provides storage (the
+  /// simulator's crash-recovery mode). A change is durable before anything
+  /// that depends on it leaves the process: a promise before its PROMISE,
+  /// and the leader's own promise before its PREPARE (a ballot must never be
+  /// reused after a crash); an accepted pair before its ACCEPTED; a decision
+  /// before it is delivered or announced; a compaction before it returns.
+  /// The leader's own accepts are only journaled, and become durable with
+  /// the next write, at the latest the one of the decision that counts
+  /// them. That is safe: a self-accept lost to a crash looks like an ACCEPT
+  /// that never reached this acceptor, and no process can learn the value
+  /// before the leader's learn has persisted it. Each write is one journal
+  /// record of the changes since the last (DESIGN.md §7); the decision sink
+  /// re-fires for the restored prefix on recovery, letting the application
+  /// rebuild its state machine.
   bool durable = false;
 
   /// Shard index when this engine is one of M > 1 groups inside a replica
@@ -105,15 +115,67 @@ struct LogConsensusConfig {
   LeaseConfig lease;
 };
 
-/// The engine's acceptor and learner state. It is also, field for field,
-/// the durable record a crash-recovery engine persists after every
-/// acceptor or log change and restores at start.
+/// One change to LogState, as a durable engine journals it (see
+/// LogState::journal). kPromise uses `round`; kAccept uses all three;
+/// kDecide uses `instance` and `value`.
+struct LogChange {
+  enum class Kind : std::uint8_t { kPromise = 0, kAccept = 1, kDecide = 2 };
+  Kind kind = Kind::kPromise;
+  Round round = kNoRound;
+  Instance instance = 0;
+  WireBlob value;
+
+  LLS_WIRE_FIELDS(LogChange, kind, round, instance, value)
+};
+
+/// The engine's acceptor and learner state. Its field list is also the
+/// checkpoint format a crash-recovery engine stores (LogCheckpoint). Every
+/// change goes through the mutators below, which the live engine and the
+/// journal replay share.
 struct LogState {
   Acceptor acceptor;
   Instance base = 0;                      ///< compaction watermark
   std::vector<std::optional<Bytes>> log;  ///< decided values, offset by base
 
+  /// When set, each promise/accept/decide appends its LogChange here
+  /// (wire::append). Null on a volatile engine and during replay.
+  Bytes* journal = nullptr;
+
+  /// Acceptor::on_prepare; journals a raised promise.
+  bool promise(Round round);
+  /// Acceptor::on_accept; journals a granted accept.
+  bool accept(Round round, Instance i, BytesView value);
+  /// Records the decision of an undecided instance i >= base.
+  void decide(Instance i, BytesView value);
+  /// Drops decided entries and accepted pairs below `upto` (> base). Not
+  /// journaled: compaction writes a checkpoint instead.
+  void compact(Instance upto);
+  /// Replays one journaled change.
+  void apply(const LogChange& change);
+
   LLS_WIRE_FIELDS(LogState, wire::framed(acceptor), base, log)
+
+ private:
+  void record(LogChange::Kind kind, Round round, Instance i, BytesView value);
+};
+
+/// One durable journal record: the changes made since the previous record
+/// or checkpoint, tagged with its sequence number. Record `seq` lives in
+/// ring slot seq % LogConsensus::kJournalSlots.
+struct LogRecord {
+  std::uint64_t seq = 0;
+  WireBlob changes;  ///< back-to-back LogChange encodings
+
+  LLS_WIRE_FIELDS(LogRecord, seq, changes)
+};
+
+/// The durable checkpoint: a whole LogState, plus the first journal
+/// sequence number it does not cover (replay starts there).
+struct LogCheckpoint {
+  std::uint64_t next_seq = 0;
+  WireBlob state;  ///< the LogState encoding
+
+  LLS_WIRE_FIELDS(LogCheckpoint, next_seq, state)
 };
 
 class LogConsensus final : public ConsensusActor {
@@ -130,6 +192,11 @@ class LogConsensus final : public ConsensusActor {
   /// published first either way, as a passive tap.
   LogConsensus(LogConsensusConfig config, const OmegaActor* omega,
                DecisionSink sink = nullptr);
+
+  /// Slots in the durable journal ring: record seq lives in slot
+  /// seq % kJournalSlots, and a checkpoint replaces any write that would
+  /// overwrite a record it does not cover.
+  static constexpr std::uint64_t kJournalSlots = 1024;
 
   // Actor ------------------------------------------------------------------
   void on_start(Runtime& rt) override;
@@ -185,6 +252,7 @@ class LogConsensus final : public ConsensusActor {
     return state_.log.size();
   }
   [[nodiscard]] const Acceptor& acceptor() const { return state_.acceptor; }
+  [[nodiscard]] const LogState& log_state() const { return state_; }
   [[nodiscard]] ProcessId fence_holder() const { return fence_holder_; }
   [[nodiscard]] TimePoint fence_until() const { return fence_until_; }
   [[nodiscard]] std::uint64_t proposals() const { return proposals_; }
@@ -203,9 +271,16 @@ class LogConsensus final : public ConsensusActor {
   void retransmit(Runtime& rt);
   void abdicate();
 
-  // Durability (crash-recovery extension).
-  void persist(Runtime& rt) const;
+  // Durability (crash-recovery extension). persist() makes state_ durable:
+  // it writes the journaled changes as the next ring record, or a
+  // checkpoint when the ring is full. restore() loads the checkpoint and
+  // replays the ring records that follow it.
+  void persist(Runtime& rt);
+  void checkpoint(StableStorage& storage);
   void restore(Runtime& rt);
+  [[nodiscard]] StableStorage& durable_storage(Runtime& rt) const;
+  /// Storage key of the ring slot that holds record `seq`.
+  [[nodiscard]] const std::string& journal_key(std::uint64_t seq);
 
   // Learner-side. The decided log is stored with a compaction offset:
   // absolute instance i lives at state_.log[i - state_.base]; everything
@@ -273,7 +348,8 @@ class LogConsensus final : public ConsensusActor {
   LogConsensusConfig config_;
   const OmegaActor* omega_;
   DecisionSink sink_;
-  /// Storage key of the durable state (per group, see LogConsensusConfig).
+  /// Storage key of the durable checkpoint (per group, see
+  /// LogConsensusConfig); the journal ring's keys extend it.
   std::string durable_key_;
 
   ProcessId self_ = kNoProcess;
@@ -286,6 +362,14 @@ class LogConsensus final : public ConsensusActor {
   // Acceptor / learner state (durable when config_.durable).
   LogState state_;
   Instance next_notify_ = 0;
+
+  // Durable journal: the changes since the last write (state_.journal
+  // points here), the next record's sequence number, the first one the
+  // stored checkpoint does not cover, and a reused ring-key buffer.
+  Bytes journal_;
+  std::uint64_t journal_seq_ = 0;
+  std::uint64_t checkpoint_seq_ = 0;
+  std::string journal_key_;
 
   // Proposer state (meaningful only while Omega trusts this process).
   Round my_round_ = kNoRound;

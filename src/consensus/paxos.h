@@ -125,8 +125,8 @@ struct ForwardMsg {
 /// The acceptor half of multi-Paxos: one global promise, per-instance
 /// accepted pairs. Pure state machine — no I/O — so its safety rules are
 /// directly unit-testable. Its whole state is durable (crash recovery
-/// persists it inside LogConsensus's record), so its field list is its
-/// storage format.
+/// checkpoints it inside LogConsensus's LogState), so its field list is
+/// its storage format.
 class Acceptor {
  public:
   struct AcceptedPair {

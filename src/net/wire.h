@@ -24,7 +24,8 @@
 // encode_pooled() performs none in steady state (the slab comes from a
 // BufferPool). Decoding reads through BufReader and fills WireBlob fields
 // with *borrows* into the source buffer (zero-copy); see common/blob.h for
-// the lifetime rules.
+// the lifetime rules. append() and decode_all() write and read a stream of
+// back-to-back records (the durable log's journal).
 #pragma once
 
 #include <algorithm>
@@ -268,6 +269,16 @@ template <typename T>
   return out;
 }
 
+/// Appends `msg`'s encoding to `stream`, a buffer of back-to-back records
+/// (no count, no framing: each record's fields delimit it). Clearing the
+/// stream keeps its capacity, so a reused stream stops allocating.
+template <typename T>
+void append(Bytes& stream, const T& msg) {
+  const std::size_t at = stream.size();
+  stream.resize(at + measure(msg));
+  encode_to(msg, std::span<std::byte>(stream).subspan(at));
+}
+
 template <typename T>
 [[nodiscard]] T decode(BytesView payload) {
   BufReader r(payload);
@@ -275,6 +286,18 @@ template <typename T>
   Decoder d(r);
   msg.visit_fields(d);
   return msg;
+}
+
+/// Decodes every record of a stream built by append(). Throws
+/// SerializationError when the stream does not end on a record boundary;
+/// WireBlob fields borrow from `stream`.
+template <typename T>
+[[nodiscard]] std::vector<T> decode_all(BytesView stream) {
+  BufReader r(stream);
+  Decoder d(r);
+  std::vector<T> out;
+  while (!r.done()) out.emplace_back().visit_fields(d);
+  return out;
 }
 
 }  // namespace lls::wire

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -57,8 +58,9 @@ class FakeRuntime final : public Runtime {
   }
 
   /// Fires the earliest pending timer on `actor`, advancing the clock to its
-  /// deadline. Returns false if no timer is pending.
-  bool fire_next_timer(Actor& actor) {
+  /// deadline; `via` (default: this) is the runtime the actor sees. Returns
+  /// false if no timer is pending.
+  bool fire_next_timer(Actor& actor, Runtime* via = nullptr) {
     if (timers_.empty()) return false;
     auto best = timers_.begin();
     for (auto it = timers_.begin(); it != timers_.end(); ++it) {
@@ -67,7 +69,7 @@ class FakeRuntime final : public Runtime {
     TimerId id = best->first;
     if (best->second > now_) now_ = best->second;
     timers_.erase(best);
-    actor.on_timer(*this, id);
+    actor.on_timer(via != nullptr ? *via : *this, id);
     return true;
   }
 
@@ -98,10 +100,11 @@ class FakeRuntime final : public Runtime {
 
 /// FakeRuntime with stable storage that outlives the actors started on it
 /// (a test "crashes" an actor by building a fresh one over the same
-/// runtime).
-class DurableFakeRuntime final : public Runtime {
+/// runtime). `Storage` is any StableStorage (see DurableFakeRuntime).
+template <typename Storage>
+class BasicDurableFakeRuntime final : public Runtime {
  public:
-  DurableFakeRuntime(ProcessId id, int n) : inner_(id, n) {}
+  BasicDurableFakeRuntime(ProcessId id, int n) : inner_(id, n) {}
   [[nodiscard]] ProcessId id() const override { return inner_.id(); }
   [[nodiscard]] int n() const override { return inner_.n(); }
   [[nodiscard]] TimePoint now() const override { return inner_.now(); }
@@ -113,8 +116,30 @@ class DurableFakeRuntime final : public Runtime {
   Rng& rng() override { return inner_.rng(); }
   [[nodiscard]] StableStorage* storage() override { return &storage_; }
 
+  bool fire_next_timer(Actor& actor) {
+    return inner_.fire_next_timer(actor, this);
+  }
+
   FakeRuntime inner_;
-  InMemoryStableStorage storage_;
+  Storage storage_;
+};
+
+using DurableFakeRuntime = BasicDurableFakeRuntime<InMemoryStableStorage>;
+
+/// In-memory storage that calls `after_write` after every write, so a test
+/// can check what a restart would restore at exactly that point.
+class HookedStorage final : public StableStorage {
+ public:
+  void write(const std::string& key, BytesView value) override {
+    data.write(key, value);
+    if (after_write) after_write();
+  }
+  [[nodiscard]] std::optional<Bytes> read(const std::string& key) override {
+    return data.read(key);
+  }
+
+  InMemoryStableStorage data;
+  std::function<void()> after_write;
 };
 
 /// Transparent wrapper: forwards every callback to an owned inner actor

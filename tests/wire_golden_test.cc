@@ -387,7 +387,9 @@ LogConsensusConfig durable_log() {
 
 TEST(WireGolden, DurableLogRecordWithHoleAndBase) {
   // Decided 0, 1 and 3 (a hole at 2, which holds an accepted pair), then
-  // compacted to 1: the record is [acceptor blob][base][slots 1, 2, 3].
+  // compacted to 1. The four persists before the compaction used journal
+  // records 0-3, so the compaction's checkpoint covers up to seq 4:
+  // [next_seq 4][u32-framed state: acceptor blob, base, slots 1, 2, 3].
   NullOmega omega;
   DurableFakeRuntime rt(/*id=*/2, /*n=*/3);
   {
@@ -400,14 +402,17 @@ TEST(WireGolden, DurableLogRecordWithHoleAndBase) {
                    AcceptMsg{9, 2, 0, val(0x22)}.encode());
     ASSERT_EQ(log.compact(1), 1u);
   }
-  // u32-framed acceptor state, base u64, u32 slot count, then per slot a
-  // u8 present flag + the value when present.
+  // next_seq u64, then the state as a u32-framed blob: the u32-framed
+  // acceptor, base u64, u32 slot count, then per slot a u8 present flag +
+  // the value when present.
   const std::string pin =
+      "04000000000000003e000000"
       "21000000090000000000000001000000020000000000000009000000000000000100"
       "00002201000000000000000300000001010000001100010100000013";
   EXPECT_EQ(stored_hex(rt, "log_consensus/state"), pin);
 
-  // The pinned record restores base, slots and the acceptor.
+  // The pinned checkpoint restores base, slots and the acceptor. (The ring
+  // slots 0-3 it covers are absent here; slot 4 would be replayed next.)
   DurableFakeRuntime fresh(/*id=*/2, /*n=*/3);
   fresh.storage_.write("log_consensus/state", from_hex(pin));
   LogConsensus recovered(durable_log(), &omega);
@@ -419,6 +424,43 @@ TEST(WireGolden, DurableLogRecordWithHoleAndBase) {
   EXPECT_EQ(recovered.acceptor().promised(), 9);
   ASSERT_NE(recovered.acceptor().accepted(2), nullptr);
   EXPECT_EQ(recovered.acceptor().accepted(2)->value, val(0x22));
+}
+
+TEST(WireGolden, DurableJournalRecords) {
+  // Each persist writes one journal record to ring slot seq % 1024 under
+  // "<checkpoint key>/journal/<slot>": seq u64, then the changes since the
+  // previous write as a u32-length blob of back-to-back LogChanges (kind u8,
+  // round u64, instance u64, u32 length + value). p0 leads: its own promise
+  // is written before its PREPARE leaves, and its self-accept rides along
+  // with the decision that counts it.
+  NullOmega omega;
+  DurableFakeRuntime rt(/*id=*/0, /*n=*/3);
+  LogConsensus log(durable_log(), &omega);
+  log.on_start(rt);
+  ASSERT_TRUE(rt.fire_next_timer(log));  // tick: prepare at round 0
+  EXPECT_EQ(stored_hex(rt, "log_consensus/state/journal/0"),
+            "000000000000000015000000"
+            "000000000000000000000000000000000000000000");
+  log.on_message(rt, 1, msg_type::kPromise, PromiseMsg{0, {}, 0}.encode());
+  ASSERT_TRUE(log.is_leader_ready());
+  log.propose(val(0x5a));
+  log.on_message(rt, 1, msg_type::kAccepted, AcceptedMsg{0, 0, 0}.encode());
+  ASSERT_EQ(log.decision(0), val(0x5a));
+  EXPECT_EQ(stored_hex(rt, "log_consensus/state/journal/1"),
+            "01000000000000002c000000"
+            "0100000000000000000000000000000000010000005a"
+            "02ffffffffffffffff0000000000000000010000005a");
+  EXPECT_EQ(stored_hex(rt, "log_consensus/state"), "<absent>");
+
+  // A follower's promise record, and the same codec read back directly.
+  const LogChange promise{LogChange::Kind::kPromise, 9, 0, {}};
+  const Bytes promise_bytes = promise.encode();
+  expect_golden(promise, "000900000000000000000000000000000000000000");
+  expect_golden(LogRecord{7, WireBlob::ref(promise_bytes)},
+                "070000000000000015000000"
+                "000900000000000000000000000000000000000000");
+  expect_golden(LogCheckpoint{5, WireBlob::ref(val(0x01))},
+                "05000000000000000100000001");
 }
 
 Bytes batch_of(std::vector<Command> commands) {
