@@ -6,6 +6,16 @@
 
 namespace lls {
 
+namespace {
+/// First backoff step after a failed attempt; doubles up to backoff_max.
+constexpr Duration kBackoffBase = 10 * kMillisecond;
+/// Consecutive unanswered attempts (across all in-flight requests) before
+/// the client gives up on the current target and probes the next replica.
+constexpr int kRotateAfter = 2;
+/// Deadline-scan granularity.
+constexpr Duration kTick = 10 * kMillisecond;
+}  // namespace
+
 void ClusterClient::on_start(Runtime& rt) {
   if (config_.cluster_n <= 0) {
     throw std::logic_error("ClusterClientConfig::cluster_n must be set");
@@ -174,7 +184,7 @@ void ClusterClient::rotate_targets() {
 
 void ClusterClient::bump_backoff(Runtime& rt, InFlight& f) {
   f.backoff = f.backoff == 0
-                  ? config_.backoff_base
+                  ? kBackoffBase
                   : std::min(config_.backoff_max, f.backoff * 2);
   Duration jitter = rt.rng().next_range(0, f.backoff / 2);
   f.next_attempt = rt.now() + config_.attempt_timeout + f.backoff + jitter;
@@ -182,7 +192,7 @@ void ClusterClient::bump_backoff(Runtime& rt, InFlight& f) {
 
 void ClusterClient::arm_tick(Runtime& rt) {
   if (tick_timer_ == kInvalidTimer) {
-    tick_timer_ = rt.set_timer(config_.tick);
+    tick_timer_ = rt.set_timer(kTick);
   }
 }
 
@@ -210,7 +220,7 @@ void ClusterClient::on_timer(Runtime& rt, TimerId timer) {
       continue;
     }
     ++since_progress_;
-    if (since_progress_ >= config_.rotate_after) rotate_targets();
+    if (since_progress_ >= kRotateAfter) rotate_targets();
     bump_backoff(rt, f);
     mark_for_send(rt, f);
   }

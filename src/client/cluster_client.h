@@ -56,22 +56,15 @@ struct ClusterClientConfig {
   /// How long one attempt waits for a reply before retransmitting.
   Duration attempt_timeout = 120 * kMillisecond;
 
-  /// Exponential backoff added on top of attempt_timeout after each failed
-  /// attempt (doubled per retry, uniform jitter of up to half of itself).
-  Duration backoff_base = 10 * kMillisecond;
+  /// Cap of the exponential backoff added on top of attempt_timeout after
+  /// each failed attempt (doubled per retry from 10 ms, uniform jitter of up
+  /// to half of itself).
   Duration backoff_max = 640 * kMillisecond;
-
-  /// Consecutive unanswered attempts (across all in-flight requests) before
-  /// the client gives up on the current target and probes the next replica.
-  int rotate_after = 2;
 
   /// End-to-end deadline per request; 0 disables (retry forever). A request
   /// past its deadline completes locally with timed_out = true — note the
   /// cluster may still apply it (the submission cannot be recalled).
   Duration request_deadline = 0;
-
-  /// Deadline-scan granularity.
-  Duration tick = 10 * kMillisecond;
 
   /// Shard count of the target cluster (groups per replica). Must match the
   /// replicas' ShardMap: the client hashes each key itself to pick the

@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "client/cluster_client.h"
@@ -13,6 +12,7 @@
 #include "obs/snapshot.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "rsm/audit.h"
 #include "rsm/history.h"
 #include "rsm/replica.h"
 #include "sim/simulator.h"
@@ -389,63 +389,36 @@ LoadgenResult run_sim_loadgen(const LoadgenConfig& config) {
         static_cast<double>(result.consensus_decisions);
   }
 
-  // Exactly-once audit.
+  // Exactly-once audit: per-group digests, and the token census over each
+  // process's whole keyspace (verify-mode writes are appends of exactly one
+  // token).
   if (config.verify) {
     auto fail = [&](std::string what) {
       result.verify_ok = false;
       result.verify_errors.push_back(std::move(what));
     };
-    // Digests are compared per group: a process holds M disjoint stores,
-    // each of which must converge across replicas independently.
-    std::vector<std::uint64_t> ref_digest(shard_count, 0);
-    bool have_ref = false;
+    std::vector<ReplicaStores> alive;
     for (ProcessId p = 0; p < static_cast<ProcessId>(config.cluster_n); ++p) {
-      if (!sim.alive(p)) continue;
-      std::vector<const KvStore*> stores;
-      for (std::size_t g = 0; g < shard_count; ++g) {
-        stores.push_back(&replicas[p]->group(static_cast<int>(g)).store());
-        const std::uint64_t digest = stores.back()->digest();
-        if (!have_ref) {
-          ref_digest[g] = digest;
-        } else if (digest != ref_digest[g]) {
-          fail("replica " + std::to_string(p) + " shard " + std::to_string(g) +
-               " store digest diverges from first alive replica");
-        }
+      if (sim.alive(p)) alive.push_back(stores_of(p, *replicas[p]));
+    }
+    for (const StoreFindings& found : audit_stores(alive, &acked_tokens)) {
+      const std::string at = "replica " + std::to_string(found.process);
+      for (std::size_t g : found.diverged) {
+        fail(at + " shard " + std::to_string(g) +
+             " store digest diverges from first alive replica");
       }
-      have_ref = true;
-      // Token census over the process's whole keyspace (all groups merged):
-      // every value is a concatenation of ';'-terminated tokens (verify-mode
-      // writes are appends of exactly one token).
-      std::unordered_map<std::string, int> census;
-      for (const KvStore* store : stores) {
-        for (const auto& [key, value] : store->data()) {
-          std::size_t begin = 0;
-          while (begin < value.size()) {
-            std::size_t end = value.find(';', begin);
-            if (end == std::string::npos) {
-              fail("replica " + std::to_string(p) + " key " + key +
-                   " holds a malformed token tail");
-              break;
-            }
-            ++census[value.substr(begin, end - begin + 1)];
-            begin = end + 1;
-          }
-        }
+      for (const std::string& key : found.malformed_keys) {
+        fail(at + " key " + key + " holds a malformed token tail");
       }
-      for (const auto& [token, count] : census) {
-        if (count > 1) {
-          fail("replica " + std::to_string(p) + ": token " + token +
-               " applied " + std::to_string(count) + " times (duplicate)");
-        }
+      for (const auto& [token, count] : found.duplicates) {
+        fail(at + ": token " + token + " applied " + std::to_string(count) +
+             " times (duplicate)");
       }
-      for (const std::string& token : acked_tokens) {
-        if (census.find(token) == census.end()) {
-          fail("replica " + std::to_string(p) + ": acked token " + token +
-               " missing (lost write)");
-        }
+      for (const std::string& token : found.lost) {
+        fail(at + ": acked token " + token + " missing (lost write)");
       }
     }
-    if (!have_ref) fail("no alive replica to audit");
+    if (alive.empty()) fail("no alive replica to audit");
   }
 
   // Artifact dump: the whole plane as Prometheus text and JSON, plus the

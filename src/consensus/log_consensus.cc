@@ -168,12 +168,7 @@ void LogConsensus::restore(Runtime& rt) {
   // Re-deliver decisions for the restored contiguous prefix so a recovering
   // application can rebuild its state machine.
   next_notify_ = state_.base;
-  while (next_notify_ < log_size() && decided_value(next_notify_) != nullptr) {
-    const Bytes& v = *decided_value(next_notify_);
-    Instance idx = next_notify_;
-    ++next_notify_;
-    deliver_decision(rt, idx, v);
-  }
+  deliver_decided_prefix(rt);
 }
 
 void LogConsensus::propose(Bytes value) {
@@ -184,17 +179,9 @@ void LogConsensus::propose(Bytes value) {
   // submission racing itself (e.g. a client retry re-admitted before the
   // first placement decided) — proposing it again could only burn an extra
   // instance, so drop it here.
-  for (const Bytes& v : pending_) {
-    if (v == value) {
-      ++dup_proposals_suppressed_;
-      return;
-    }
-  }
-  for (const auto& [i, inf] : inflight_) {
-    if (inf.value == value) {
-      ++dup_proposals_suppressed_;
-      return;
-    }
+  if (queued_or_in_flight(value)) {
+    ++dup_proposals_suppressed_;
+    return;
   }
   pending_.push_back(std::move(value));
   // Eager dispatch: a ready leader assigns immediately (2-message-delay
@@ -218,8 +205,15 @@ std::optional<Bytes> LogConsensus::decision(Instance i) const {
   return std::nullopt;
 }
 
-Instance LogConsensus::first_undecided() const { return next_notify_; }
-Instance LogConsensus::commit_upto() const { return next_notify_; }
+bool LogConsensus::queued_or_in_flight(BytesView value) const {
+  for (const Bytes& v : pending_) {
+    if (bytes_equal(v, value)) return true;
+  }
+  for (const auto& [i, inf] : inflight_) {
+    if (bytes_equal(inf.value, value)) return true;
+  }
+  return false;
+}
 
 void LogConsensus::on_timer(Runtime& rt, TimerId timer) {
   if (timer != tick_timer_) return;
@@ -265,7 +259,7 @@ void LogConsensus::start_prepare(Runtime& rt) {
   preparing_ = true;
   promises_.clear();
   promise_merge_.clear();
-  prepare_from_ = first_undecided();
+  prepare_from_ = first_unknown();
 
   // Self-promise: raise the local acceptor's promise and merge its state.
   // The promise is durable before the PREPARE leaves, so a recovered
@@ -313,21 +307,12 @@ void LogConsensus::become_ready(Runtime& rt) {
 
   // Fill holes the quorum knows nothing about with no-ops so the log prefix
   // becomes decidable, and re-propose every merged value at my round.
-  for (Instance i = first_undecided(); i < next_free_; ++i) {
+  for (Instance i = first_unknown(); i < next_free_; ++i) {
     if (is_decided(i) || promise_merge_.contains(i)) continue;
     promise_merge_[i] = Acceptor::AcceptedPair{i, kNoRound, Bytes{}};
   }
   for (auto& [i, pair] : promise_merge_) {
-    if (is_decided(i)) continue;
-    InFlight inf;
-    inf.value = pair.value;
-    inf.acks.insert(self_);
-    state_.accept(my_round_, i, inf.value);
-    inflight_[i] = std::move(inf);
-    accept_started_.try_emplace(i, rt.now());
-    for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
-      if (q != self_) send_accept(rt, q, i);
-    }
+    if (!is_decided(i)) start_instance(rt, i, std::move(pair.value));
   }
   promise_merge_.clear();
 
@@ -353,16 +338,19 @@ void LogConsensus::assign_pending(Runtime& rt) {
     // decided slot would orphan the value — learn() for that instance
     // already ran and will never displace it back to pending_.
     while (is_decided(next_free_)) ++next_free_;
-    Instance i = next_free_++;
-    InFlight inf;
-    inf.value = std::move(value);
-    inf.acks.insert(self_);
-    state_.accept(my_round_, i, inf.value);
-    inflight_[i] = std::move(inf);
-    accept_started_.try_emplace(i, rt.now());
-    for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
-      if (q != self_) send_accept(rt, q, i);
-    }
+    start_instance(rt, next_free_++, std::move(value));
+  }
+}
+
+void LogConsensus::start_instance(Runtime& rt, Instance i, Bytes value) {
+  InFlight inf;
+  inf.value = std::move(value);
+  inf.acks.insert(self_);
+  state_.accept(my_round_, i, inf.value);
+  inflight_[i] = std::move(inf);
+  accept_started_.try_emplace(i, rt.now());
+  for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
+    if (q != self_) send_accept(rt, q, i);
   }
 }
 
@@ -370,7 +358,7 @@ void LogConsensus::send_accept(Runtime& rt, ProcessId dst, Instance i) {
   const InFlight& inf = inflight_.at(i);
   // Borrow the in-flight value and encode into a pooled frame: the steady
   // state Phase-2 send allocates nothing.
-  AcceptMsg msg{my_round_, i, commit_upto(), WireBlob::ref(inf.value),
+  AcceptMsg msg{my_round_, i, first_unknown(), WireBlob::ref(inf.value),
                 rt.now()};
   rt.send(dst, msg_type::kAccept, wire::encode_pooled(rt.pool(), msg).view());
 }
@@ -499,12 +487,7 @@ void LogConsensus::learn(Runtime& rt, Instance i, BytesView value) {
     }
   }
 
-  while (next_notify_ < log_size() && decided_value(next_notify_) != nullptr) {
-    const Bytes& v = *decided_value(next_notify_);
-    Instance idx = next_notify_;
-    ++next_notify_;
-    deliver_decision(rt, idx, v);
-  }
+  deliver_decided_prefix(rt);
 
   // With a bounded pipelining window, a decision frees a slot: refill it
   // from the pending queue right away rather than waiting for the next
@@ -648,7 +631,7 @@ void LogConsensus::handle_accept(Runtime& rt, ProcessId src,
   // Pipelined commit: everything below commit_upto was decided by the
   // leader of this round; our accepted value at this same round for such an
   // instance is therefore the chosen value.
-  for (Instance j = first_undecided(); j < msg.commit_upto; ++j) {
+  for (Instance j = first_unknown(); j < msg.commit_upto; ++j) {
     if (is_decided(j)) continue;
     const auto* pair = state_.acceptor.accepted(j);
     if (pair != nullptr && pair->round == msg.round) learn(rt, j, pair->value);
@@ -778,10 +761,13 @@ void LogConsensus::record_support(ProcessId q, TimePoint echo_ts) {
       std::max(support_until_[q], echo_ts + config_.lease.duration);
 }
 
-void LogConsensus::deliver_decision(Runtime& rt, Instance i,
-                                    const Bytes& value) {
-  notify_decision(rt, i, value, group_tag());
-  if (sink_) sink_(i, value);
+void LogConsensus::deliver_decided_prefix(Runtime& rt) {
+  while (next_notify_ < log_size() && decided_value(next_notify_) != nullptr) {
+    const Instance i = next_notify_++;
+    const Bytes& value = *decided_value(i);
+    notify_decision(rt, i, value, group_tag());
+    if (sink_) sink_(i, value);
+  }
 }
 
 void LogConsensus::sample_lease_span(Runtime& rt) {
@@ -804,12 +790,7 @@ void LogConsensus::sample_lease_span(Runtime& rt) {
 
 void LogConsensus::handle_forward(ProcessId, const ForwardMsg& msg) {
   // Deduplicate against everything already seen: queued, in flight, decided.
-  for (const Bytes& v : pending_) {
-    if (v == msg.value) return;
-  }
-  for (const auto& [i, inf] : inflight_) {
-    if (inf.value == msg.value) return;
-  }
+  if (queued_or_in_flight(msg.value.view())) return;
   for (const auto& slot : state_.log) {
     if (slot.has_value() && *slot == msg.value) return;
   }

@@ -267,6 +267,9 @@ class LogConsensus final : public ConsensusActor {
   void start_prepare(Runtime& rt);
   void become_ready(Runtime& rt);
   void assign_pending(Runtime& rt);
+  /// Puts `value` in flight at instance i under my round: self-accept, then
+  /// ACCEPT to every peer.
+  void start_instance(Runtime& rt, Instance i, Bytes value);
   void send_accept(Runtime& rt, ProcessId dst, Instance i);
   void retransmit(Runtime& rt);
   void abdicate();
@@ -301,8 +304,8 @@ class LogConsensus final : public ConsensusActor {
     }
     return nullptr;
   }
-  [[nodiscard]] Instance first_undecided() const;
-  [[nodiscard]] Instance commit_upto() const;
+  /// True when a byte-identical value is already queued or in flight.
+  [[nodiscard]] bool queued_or_in_flight(BytesView value) const;
 
   void handle_prepare(Runtime& rt, ProcessId src, const PrepareMsg& msg);
   void handle_promise(Runtime& rt, ProcessId src, const PromiseMsg& msg);
@@ -337,8 +340,9 @@ class LogConsensus final : public ConsensusActor {
   void record_support(ProcessId q, TimePoint echo_ts);
   /// Publishes lease-held spans on validity transitions (called per tick).
   void sample_lease_span(Runtime& rt);
-  /// Publishes the kDecide tap, then hands the decision to the sink.
-  void deliver_decision(Runtime& rt, Instance i, const Bytes& value);
+  /// Delivers every decision from next_notify_ up to the first gap:
+  /// publishes the kDecide tap, then hands the decision to the sink.
+  void deliver_decided_prefix(Runtime& rt);
   /// True when the pipelining window has room for a fresh assignment.
   [[nodiscard]] bool window_open() const {
     return config_.max_inflight == 0 ||

@@ -9,6 +9,10 @@
 namespace lls {
 
 namespace {
+/// Per-session cap on cached results kept for reply resends beyond the
+/// client's acked watermark (memory bound for sessions that never ack).
+constexpr std::size_t kResultsCap = 4096;
+
 Bytes encode_single_command(const Command& cmd) {
   CommandBatch batch;
   batch.commands.push_back(cmd);
@@ -87,13 +91,7 @@ std::uint64_t KvCore::submit(KvOp op, std::string key, std::string value,
     // linearizable truth — answer synchronously, zero messages, zero
     // instances. The sequence number is still burned so callers correlate
     // as usual. Invalid lease -> the ordinary ordered path below.
-    // Under fifo_client_order the fast path must not jump queued same-
-    // session commands (a read overtaking the caller's own unapplied write
-    // would break per-client program order), so it only fires when nothing
-    // is queued or outstanding.
-    const bool fifo_blocked =
-        config_.fifo_client_order && (outstanding_ || !session_queue_.empty());
-    if (!fifo_blocked && consensus_.lease_valid()) {
+    if (consensus_.lease_valid()) {
       ++reads_local_;
       if (reads_local_ctr_ != nullptr) reads_local_ctr_->inc();
       std::uint64_t seq = next_seq_++;
@@ -113,13 +111,7 @@ std::uint64_t KvCore::submit(KvOp op, std::string key, std::string value,
   cmd.expected = std::move(expected);
   cmd.read_only = config_.lease_reads && op == KvOp::kGet;
   if (cb) callbacks_[cmd.seq] = std::move(cb);
-
-  if (config_.fifo_client_order) {
-    session_queue_.push_back(std::move(cmd));
-    pump_session_queue();
-  } else {
-    enqueue_for_consensus(std::move(cmd));
-  }
+  enqueue_for_consensus(std::move(cmd));
   return next_seq_ - 1;
 }
 
@@ -160,13 +152,6 @@ void KvCore::flush_batch() {
     rt_->cancel_timer(flush_timer_);
     flush_timer_ = kInvalidTimer;
   }
-}
-
-void KvCore::pump_session_queue() {
-  if (outstanding_ || session_queue_.empty()) return;
-  outstanding_ = true;
-  consensus_.propose(encode_single_command(session_queue_.front()));
-  session_queue_.pop_front();
 }
 
 std::optional<Command> KvCore::admit_one(Runtime& rt, ProcessId src,
@@ -407,7 +392,7 @@ void KvCore::apply_command(const Command& cmd) {
     ClientSessionSrv& sess = clients_[cmd.origin];
     if (cmd.seq > sess.ack_upto) {
       sess.results[cmd.seq] = result;
-      if (sess.results.size() > config_.results_cap) {
+      if (sess.results.size() > kResultsCap) {
         sess.results.erase(sess.results.begin());
       }
     }
@@ -423,10 +408,6 @@ void KvCore::apply_command(const Command& cmd) {
       Callback cb = std::move(it->second);
       callbacks_.erase(it);
       cb(result);
-    }
-    if (config_.fifo_client_order) {
-      outstanding_ = false;
-      pump_session_queue();
     }
   }
 }

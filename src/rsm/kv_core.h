@@ -15,7 +15,6 @@
 // replicas' stores converge byte-for-byte.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -60,19 +59,10 @@ struct KvSnapshot {
 };
 
 struct KvReplicaConfig {
-  /// When true, this replica submits at most one command at a time to the
-  /// consensus log and holds the rest in a local session queue, giving
-  /// FIFO per-client order. The paper's links are non-FIFO, so without
-  /// this, concurrently submitted commands may be ordered arbitrarily.
-  /// Applies to local submissions only; external client sessions order
-  /// themselves through their own windows.
-  bool fifo_client_order = false;
-
   /// Commands per consensus value. With > 1, bursts of submissions (local
   /// or admitted from client sessions) are packed into one log entry,
   /// amortizing the Θ(n) per-instance message cost over the batch
-  /// (extension; measured by bench_a5_batching). Ignored for local
-  /// submissions in FIFO session mode.
+  /// (extension; measured by bench_a5_batching).
   std::size_t max_batch = 1;
 
   /// How long a partially filled batch may wait before being flushed.
@@ -88,18 +78,11 @@ struct KvReplicaConfig {
   /// and not yet applied. Beyond it, requests get a BUSY reply.
   std::size_t admit_high_water = 1024;
 
-  /// Per-session cap on cached results kept for reply resends beyond the
-  /// client's acked watermark (memory bound for sessions that never ack).
-  std::size_t results_cap = 4096;
-
   /// Serve locally submitted kGet commands from local state whenever the
   /// consensus leader lease holds (zero messages, zero instances); fall
   /// back to the ordered path otherwise. Requires the consensus config's
   /// lease to be enabled to ever fire. Client-protocol reads are governed
   /// by the Command::read_only flag the client sets, not by this knob.
-  /// Composes with fifo_client_order: the fast path never overtakes queued
-  /// same-session commands — while any are outstanding the read falls back
-  /// to the ordered path, preserving per-client program order.
   bool lease_reads = false;
 };
 
@@ -218,7 +201,6 @@ class KvCore final : public Actor {
   void persist_snapshot(Runtime& rt) const;
   void restore_snapshot(Runtime& rt);
   [[nodiscard]] std::string snapshot_key() const;
-  void pump_session_queue();
   void flush_batch();
   void enqueue_for_consensus(Command cmd);
   /// Hands a burst of admitted commands to consensus together: one proposal
@@ -283,10 +265,6 @@ class KvCore final : public Actor {
   std::uint64_t reads_ordered_ = 0;
   obs::Counter* reads_local_ctr_ = nullptr;
   obs::Counter* reads_ordered_ctr_ = nullptr;
-
-  // FIFO session mode.
-  std::deque<Command> session_queue_;
-  bool outstanding_ = false;
 
   // Batching mode.
   std::vector<Command> batch_;

@@ -4,7 +4,6 @@
 #include <limits>
 #include <cinttypes>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -21,6 +20,7 @@
 #include "omega/cr_omega.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "rsm/audit.h"
 #include "rsm/history.h"
 #include "rsm/linearizability.h"
 #include "rsm/replica.h"
@@ -53,17 +53,6 @@ bool parse_scenario(const std::string& name, Scenario* out) {
 
 namespace {
 
-/// One shared fault-schedule template per run. The nemesis seed is derived
-/// from the run seed (not equal to it) so link randomness and schedule
-/// randomness are decorrelated, yet both replay from the single CLI seed.
-NemesisConfig nemesis_for(const CampaignConfig& config, std::uint64_t seed) {
-  NemesisConfig nc;
-  nc.seed = seed * 0x9e3779b97f4a7c15ULL + static_cast<int>(config.scenario);
-  nc.start = 1 * kSecond;
-  nc.quiesce = config.quiesce;
-  return nc;
-}
-
 /// The ♦-source for the system-S scenarios. Protected from crash-stop: the
 /// liveness premises require at least one correct ♦-source.
 ProcessId source_of(const CampaignConfig& config) {
@@ -90,78 +79,6 @@ CeOmegaConfig ce_config(const CampaignConfig& config) {
   return oc;
 }
 
-/// Control-plane tracer, attached when the config asks for a trace dump.
-/// Transport events are excluded so the leadership/decide/nemesis story is
-/// not evicted from the ring by per-message traffic.
-std::unique_ptr<obs::RingTracer> maybe_trace(Simulator& sim,
-                                             const CampaignConfig& config) {
-  if (config.trace_path.empty()) return nullptr;
-  return std::make_unique<obs::RingTracer>(sim.plane().bus(), 65536,
-                                           obs::kControlEvents);
-}
-
-void dump_trace(const std::unique_ptr<obs::RingTracer>& tracer,
-                const CampaignConfig& config) {
-  if (tracer != nullptr) tracer->dump_jsonl_file(config.trace_path);
-}
-
-/// Checks that every alive process trusts the same alive process. `leader_of`
-/// is called per process so callers can re-fetch actors (recovery replaces
-/// the actor instance). Returns the agreed leader when unique.
-template <typename LeaderOf>
-std::optional<ProcessId> check_unique_leader(
-    const Simulator& sim, LeaderOf&& leader_of,
-    std::vector<std::string>& violations) {
-  std::optional<ProcessId> agreed;
-  bool disagreement = false;
-  for (ProcessId p = 0; p < static_cast<ProcessId>(sim.n()); ++p) {
-    if (!sim.alive(p)) continue;
-    ProcessId l = leader_of(p);
-    if (!agreed) {
-      agreed = l;
-    } else if (*agreed != l) {
-      disagreement = true;
-    }
-  }
-  if (disagreement) {
-    std::ostringstream what;
-    what << "leader disagreement after quiesce:";
-    for (ProcessId p = 0; p < static_cast<ProcessId>(sim.n()); ++p) {
-      if (sim.alive(p)) what << " p" << p << "->" << int(leader_of(p));
-    }
-    violations.push_back(what.str());
-    return std::nullopt;
-  }
-  if (!agreed) {
-    violations.emplace_back("no process alive at horizon");
-    return std::nullopt;
-  }
-  if (*agreed == kNoProcess || !sim.alive(*agreed)) {
-    std::ostringstream what;
-    what << "agreed leader p" << int(*agreed) << " is not an alive process";
-    violations.push_back(what.str());
-    return std::nullopt;
-  }
-  return agreed;
-}
-
-/// Communication efficiency: in the trailing window only the leader sends
-/// (n-1 links). Quantified over actual senders, so crashed processes are
-/// excluded by construction.
-void check_efficiency(const Simulator& sim, const CampaignConfig& config,
-                      ProcessId leader, std::vector<std::string>& violations) {
-  // Read the net stats back through the unified observability registry.
-  auto senders = NetStats::from(sim.plane().registry())
-                     ->senders_between(config.horizon - config.check_window,
-                                       config.horizon);
-  if (senders.size() == 1 && *senders.begin() == leader) return;
-  std::ostringstream what;
-  what << "efficiency violated: senders in trailing window {";
-  for (ProcessId p : senders) what << " p" << p;
-  what << " }, expected only leader p" << leader;
-  violations.push_back(what.str());
-}
-
 /// Crash accounting cross-check: every kill Nemesis reports must be dead in
 /// the simulator, and kills never exceed a strict minority.
 void check_kill_accounting(const Simulator& sim, const Nemesis& nemesis,
@@ -179,32 +96,10 @@ void check_kill_accounting(const Simulator& sim, const Nemesis& nemesis,
   }
 }
 
-/// Wraps a violations-only outcome (scenarios that predate CaseResult's
-/// observability fields).
-CaseResult only_violations(std::vector<std::string> violations) {
-  CaseResult result;
-  result.violations = std::move(violations);
-  return result;
-}
-
-/// Everything a topology-preset run derives from CampaignConfig::topology:
-/// the profile (schedule already applied), its LinkFactory, the processes to
-/// protect from kills, and the expected stabilization verdict.
-struct TopologySetup {
-  TopologyProfile profile;
-  LinkFactory base;
-  std::vector<ProcessId> protect;
-  bool expect_stabilize = true;
-  bool use_relay = false;
-};
-
-/// Resolves config.topology (+ optional adversarial schedule). Returns
-/// nullopt both when no topology was requested (no violation added) and when
-/// the request is invalid (violation added) — callers distinguish via
-/// config.topology.empty().
-std::optional<TopologySetup> topology_setup(
+/// Resolves config.topology, with the optional adversarial schedule
+/// applied. nullopt, with a violation added, when the request is invalid.
+std::optional<TopologyProfile> topology_profile(
     const CampaignConfig& config, std::vector<std::string>& violations) {
-  if (config.topology.empty()) return std::nullopt;
   auto profile = topology_preset(config.topology, config.n);
   if (!profile) {
     violations.push_back("unknown topology preset: " + config.topology +
@@ -228,13 +123,7 @@ std::optional<TopologySetup> topology_setup(
       return std::nullopt;
     }
   }
-  TopologySetup setup;
-  setup.expect_stabilize = profile->expect_stabilize;
-  setup.use_relay = profile->use_relay;
-  if (!profile->sources.empty()) setup.protect = {profile->sources.back()};
-  setup.base = profile->factory();
-  setup.profile = std::move(*profile);
-  return setup;
+  return profile;
 }
 
 /// Fetches p's protocol actor, unwrapping the relay envelope when the
@@ -245,10 +134,25 @@ T& proto_actor(Simulator& sim, ProcessId p, bool relayed) {
   return sim.actor_as<T>(p);
 }
 
-/// Pulls the run's obs-plane histograms into the case result: election
-/// stabilization spans plus consensus decide latencies (including the
-/// per-shard "_shard<g>" series, merged into one population).
-void collect_histograms(const Simulator& sim, CaseResult& result) {
+/// The stores of every alive replica among processes [0, n), in process
+/// order, for the KV audit.
+template <typename Replica>
+std::vector<ReplicaStores> alive_stores(Simulator& sim, int n,
+                                        bool relayed = false) {
+  std::vector<ReplicaStores> out;
+  for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
+    if (sim.alive(p)) {
+      out.push_back(stores_of(p, proto_actor<Replica>(sim, p, relayed)));
+    }
+  }
+  return out;
+}
+
+/// Pulls the run's obs-plane histograms into a case or soak result:
+/// election stabilization spans plus consensus decide latencies (including
+/// the per-shard "_shard<g>" series, merged into one population).
+template <typename Result>
+void collect_histograms(const Simulator& sim, Result& result) {
   for (const auto& [name, hist] : sim.plane().registry().histograms()) {
     if (name == "election_stabilization_ms") {
       result.stabilization_span_ms.merge(hist);
@@ -272,113 +176,228 @@ bool still_flapping(const obs::ElectionSpanTracker& tracker,
          tracker.last_transition() >= last;
 }
 
-CaseResult run_ce_omega(const CampaignConfig& config, std::uint64_t seed) {
+/// One campaign case as built by run_case, handed to its scenario's hooks.
+struct Case {
+  Case(const SimConfig& sc, const LinkFactory& links) : sim(sc, links) {}
+
+  /// Actors run behind a RelayActor (the preset routes over the flood path).
+  bool relayed = false;
+  /// The zero-sources control: the election must never settle.
+  bool flapping_control = false;
+  /// The processes the nemesis spares.
+  std::vector<ProcessId> protect;
+  Simulator sim;
+  std::optional<obs::ElectionSpanTracker> tracker;
+  std::optional<Nemesis> nemesis;
   CaseResult result;
-  std::vector<std::string>& violations = result.violations;
-  auto topo = topology_setup(config, violations);
-  if (!config.topology.empty() && !topo) return result;
-  SimConfig sc;
-  sc.n = config.n;
-  sc.seed = seed;
-  LinkFactory base = topo ? topo->base : system_s_links(config);
-  Simulator sim(sc, base);
-  auto tracer = maybe_trace(sim, config);
-  obs::ElectionSpanTracker tracker(sim.plane(), config.n);
-  const bool relayed = topo && topo->use_relay;
-  for (ProcessId p = 0; p < static_cast<ProcessId>(config.n); ++p) {
-    if (relayed) {
-      sim.emplace_actor<RelayActor>(
-          p, std::make_unique<CeOmega>(ce_config(config)));
-    } else {
-      sim.emplace_actor<CeOmega>(p, ce_config(config));
+
+  /// p's protocol actor, unwrapped from its relay.
+  template <typename T>
+  T& actor(ProcessId p) {
+    return proto_actor<T>(sim, p, relayed);
+  }
+  std::vector<std::string>& violations() { return result.violations; }
+};
+
+/// What a scenario supplies to run_case: its links, its actors, the
+/// processes the nemesis spares, and its own workload and checks. The rest
+/// of a case — simulator, control-plane tracer, election tracker, nemesis,
+/// start → run → trace dump, kill accounting and histogram roll-up — is
+/// built the same way for every scenario.
+struct CaseSpec {
+  explicit CaseSpec(const CampaignConfig& config)
+      : links(system_s_links(config)),
+        protect{source_of(config)},
+        kills(config.crash_stop_budget) {}
+
+  /// Runs on topology presets (whose profile then supplies the links, the
+  /// ♦-source to protect and the relay routing) and reports the
+  /// per-topology observables: whether the election settled, and the obs
+  /// histograms. `zero_sources` also admits the zero-sources control.
+  bool topology_aware = false;
+  bool zero_sources = false;
+  /// The flat cluster's links.
+  LinkFactory links;
+  /// Client processes placed after the n replicas.
+  int clients = 0;
+  /// Builds process p's actor, at placement and on every restart.
+  std::function<std::unique_ptr<Actor>(ProcessId)> actor;
+  /// Processes the nemesis never kills on the flat cluster.
+  std::vector<ProcessId> protect;
+  /// The nemesis runs unless the scenario scripts its own faults;
+  /// `crash_restart` adds the crash-recovery model's restarts.
+  bool nemesis = true;
+  bool crash_restart = false;
+  int kills;
+  /// Schedules the workload, once the nemesis plan is in place.
+  std::function<void(Case&)> before_run;
+  /// The scenario's checks, after the kill accounting.
+  std::function<void(Case&)> check;
+};
+
+CaseResult run_case(const CampaignConfig& config, std::uint64_t seed,
+                    const CaseSpec& spec) {
+  const std::string name = scenario_name(config.scenario);
+  CaseResult rejected;
+  std::optional<TopologyProfile> topo;
+  if (!config.topology.empty()) {
+    if (!spec.topology_aware) {
+      rejected.violations.push_back(
+          "topology presets are not supported by the " + name + " scenario");
+      return rejected;
+    }
+    topo = topology_profile(config, rejected.violations);
+    if (!topo) return rejected;
+    if (!topo->expect_stabilize && !spec.zero_sources) {
+      rejected.violations.push_back("the zero-sources control needs no " +
+                                    name + " stack; use the ce scenario");
+      return rejected;
     }
   }
-  NemesisConfig nc = nemesis_for(config, seed);
-  nc.crash_stop_budget = config.crash_stop_budget;
-  nc.protected_processes =
-      topo ? topo->protect : std::vector<ProcessId>{source_of(config)};
-  Nemesis nemesis(sim, base, nc);
-  sim.start();
-  sim.run_until(config.horizon);
-  dump_trace(tracer, config);
+  SimConfig sc;
+  sc.n = config.n + spec.clients;
+  sc.seed = seed;
+  const LinkFactory base = topo ? topo->factory() : spec.links;
+  Case c(sc, base);
+  c.protect = spec.protect;
+  if (topo) {
+    c.relayed = topo->use_relay;
+    c.flapping_control = !topo->expect_stabilize;
+    c.protect.clear();
+    if (!topo->sources.empty()) c.protect.push_back(topo->sources.back());
+  }
+  // The control-plane trace leaves out transport events, so the
+  // leadership/decide/nemesis story is not evicted from the ring by
+  // per-message traffic.
+  std::optional<obs::RingTracer> tracer;
+  if (!config.trace_path.empty()) {
+    tracer.emplace(c.sim.plane().bus(), 65536, obs::kControlEvents);
+  }
+  if (spec.topology_aware) c.tracker.emplace(c.sim.plane(), config.n);
+  for (ProcessId p = 0; p < static_cast<ProcessId>(sc.n); ++p) {
+    c.sim.set_actor_factory(
+        p, [&spec, p, relayed = c.relayed]() -> std::unique_ptr<Actor> {
+          if (relayed) return std::make_unique<RelayActor>(spec.actor(p));
+          return spec.actor(p);
+        });
+  }
+  if (spec.nemesis) {
+    // The nemesis seed is derived from the run seed (not equal to it) so
+    // link and schedule randomness are decorrelated, yet both replay from
+    // the single CLI seed.
+    NemesisConfig nc;
+    nc.seed = seed * 0x9e3779b97f4a7c15ULL + static_cast<int>(config.scenario);
+    nc.start = 1 * kSecond;
+    nc.quiesce = config.quiesce;
+    nc.crash_restart = spec.crash_restart;
+    nc.crash_stop_budget = spec.kills;
+    nc.protected_processes = c.protect;
+    c.nemesis.emplace(c.sim, base, nc);
+  }
+  if (spec.before_run) spec.before_run(c);
+  c.sim.start();
+  c.sim.run_until(config.horizon);
+  if (tracer) tracer->dump_jsonl_file(config.trace_path);
 
-  check_kill_accounting(sim, nemesis, violations);
-  if (!topo || topo->expect_stabilize) {
-    result.stabilized = !tracker.span_open();
-    auto leader = check_unique_leader(
-        sim,
-        [&](ProcessId p) {
-          return proto_actor<const CeOmega>(sim, p, relayed).leader();
-        },
-        violations);
-    // Raw-message efficiency does not apply over the relay flood path (the
-    // relaxation trades it for eventually timely *paths*).
-    if (leader && !relayed) {
-      check_efficiency(sim, config, *leader, violations);
+  if (c.nemesis) check_kill_accounting(c.sim, *c.nemesis, c.violations());
+  if (c.tracker) c.result.stabilized = !c.tracker->span_open();
+  spec.check(c);
+  if (c.tracker) collect_histograms(c.sim, c.result);
+  return std::move(c.result);
+}
+
+/// The Ω checks at the horizon: every alive process trusts the same alive
+/// process and, for the communication-efficient variants, only that leader
+/// sends in the trailing window (n-1 links; quantified over actual senders,
+/// so crashed processes are excluded by construction). Raw-message
+/// efficiency does not apply over the relay flood path (the relaxation
+/// trades it for eventually timely *paths*).
+template <typename Omega>
+void check_election(Case& c, const CampaignConfig& config, bool efficient) {
+  std::vector<std::string>& violations = c.violations();
+  std::optional<ProcessId> agreed;
+  bool disagreement = false;
+  std::ostringstream trust;
+  for (ProcessId p = 0; p < static_cast<ProcessId>(c.sim.n()); ++p) {
+    if (!c.sim.alive(p)) continue;
+    // Recovery replaces actor instances — fetch through the simulator,
+    // never through pointers captured before the run.
+    const ProcessId l = c.actor<const Omega>(p).leader();
+    trust << " p" << p << "->" << int(l);
+    if (!agreed) {
+      agreed = l;
+    } else if (*agreed != l) {
+      disagreement = true;
     }
-  } else {
+  }
+  if (disagreement) {
+    violations.push_back("leader disagreement after quiesce:" + trust.str());
+    return;
+  }
+  if (!agreed) {
+    violations.emplace_back("no process alive at horizon");
+    return;
+  }
+  if (*agreed == kNoProcess || !c.sim.alive(*agreed)) {
+    violations.push_back("agreed leader p" + std::to_string(int(*agreed)) +
+                         " is not an alive process");
+    return;
+  }
+  if (!efficient || c.relayed) return;
+  auto senders = NetStats::from(c.sim.plane().registry())
+                     ->senders_between(config.horizon - config.check_window,
+                                       config.horizon);
+  if (senders.size() == 1 && *senders.begin() == *agreed) return;
+  std::ostringstream what;
+  what << "efficiency violated: senders in trailing window {";
+  for (ProcessId p : senders) what << " p" << p;
+  what << " }, expected only leader p" << *agreed;
+  violations.push_back(what.str());
+}
+
+CaseResult run_ce_omega(const CampaignConfig& config, std::uint64_t seed) {
+  CaseSpec spec(config);
+  spec.topology_aware = spec.zero_sources = true;
+  spec.actor = [&config](ProcessId) {
+    return std::make_unique<CeOmega>(ce_config(config));
+  };
+  spec.check = [&config](Case& c) {
+    if (!c.flapping_control) return check_election<CeOmega>(c, config, true);
     // The paper's necessity direction: with zero ♦-sources the election
     // MUST keep flapping. A settled election here is the violation.
-    result.stabilized = !still_flapping(tracker, config.horizon);
-    if (result.stabilized) {
-      violations.emplace_back(
+    c.result.stabilized = !still_flapping(*c.tracker, config.horizon);
+    if (c.result.stabilized) {
+      c.violations().emplace_back(
           "zero-sources control stabilized: election settled although no "
           "process has eventually timely outgoing links");
     }
-  }
-  collect_histograms(sim, result);
-  return result;
+  };
+  return run_case(config, seed, spec);
 }
 
-std::vector<std::string> run_all2all(const CampaignConfig& config,
-                                     std::uint64_t seed) {
-  if (!config.topology.empty()) {
-    return {"topology presets are not supported by the all2all scenario"};
-  }
-  SimConfig sc;
-  sc.n = config.n;
-  sc.seed = seed;
-  // The baseline needs every link eventually timely (its premise).
-  LinkFactory base = make_all_eventually_timely(
+CaseResult run_all2all(const CampaignConfig& config, std::uint64_t seed) {
+  CaseSpec spec(config);
+  // The baseline needs every link eventually timely (its premise), so no
+  // process is a ♦-source to spare.
+  spec.links = make_all_eventually_timely(
       500 * kMillisecond, {500 * kMicrosecond, 2 * kMillisecond},
       {0.5, {500 * kMicrosecond, 20 * kMillisecond}});
-  Simulator sim(sc, base);
-  auto tracer = maybe_trace(sim, config);
+  spec.protect.clear();
   All2AllOmegaConfig oc;
   if (config.sabotage) {
     oc.initial_timeout = oc.eta / 2;
     oc.additive_step = 0;
   }
-  for (ProcessId p = 0; p < static_cast<ProcessId>(config.n); ++p) {
-    sim.emplace_actor<All2AllOmega>(p, oc);
-  }
-  NemesisConfig nc = nemesis_for(config, seed);
-  nc.crash_stop_budget = config.crash_stop_budget;
-  Nemesis nemesis(sim, base, nc);
-  sim.start();
-  sim.run_until(config.horizon);
-  dump_trace(tracer, config);
-
-  std::vector<std::string> violations;
-  check_kill_accounting(sim, nemesis, violations);
+  spec.actor = [oc](ProcessId) { return std::make_unique<All2AllOmega>(oc); };
   // No efficiency check: all-to-all heartbeats forever by design.
-  check_unique_leader(
-      sim,
-      [&](ProcessId p) {
-        return sim.actor_as<const All2AllOmega>(p).leader();
-      },
-      violations);
-  return violations;
+  spec.check = [&config](Case& c) {
+    check_election<All2AllOmega>(c, config, false);
+  };
+  return run_case(config, seed, spec);
 }
 
-std::vector<std::string> run_cr_omega(const CampaignConfig& config,
-                                      std::uint64_t seed) {
-  if (!config.topology.empty()) {
-    return {"topology presets are not supported by the cr scenario"};
-  }
-  SimConfig sc;
-  sc.n = config.n;
-  sc.seed = seed;
+CaseResult run_cr_omega(const CampaignConfig& config, std::uint64_t seed) {
+  CaseSpec spec(config);
   CrOmegaConfig oc;
   DelayRange delay{500 * kMicrosecond, 2 * kMillisecond};
   if (config.sabotage) {
@@ -387,248 +406,254 @@ std::vector<std::string> run_cr_omega(const CampaignConfig& config,
     delay = {15 * kMillisecond, 25 * kMillisecond};
     oc.timeout_step = 0;
   }
-  LinkFactory base = make_all_timely(delay);
-  Simulator sim(sc, base);
-  auto tracer = maybe_trace(sim, config);
-  for (ProcessId p = 0; p < static_cast<ProcessId>(config.n); ++p) {
-    sim.set_actor_factory(
-        p, [oc]() { return std::make_unique<CrOmegaStable>(oc); });
-  }
-  NemesisConfig nc = nemesis_for(config, seed);
-  nc.crash_restart = true;  // the crash-recovery model's signature fault
-  nc.crash_stop_budget = config.crash_stop_budget;
-  Nemesis nemesis(sim, base, nc);
-  sim.start();
-  sim.run_until(config.horizon);
-  dump_trace(tracer, config);
-
-  std::vector<std::string> violations;
-  check_kill_accounting(sim, nemesis, violations);
-  // Recovery replaces actor instances — fetch through the simulator, never
-  // through pointers captured before the run.
-  auto leader = check_unique_leader(
-      sim,
-      [&](ProcessId p) {
-        return sim.actor_as<const CrOmegaStable>(p).leader();
-      },
-      violations);
-  if (leader) check_efficiency(sim, config, *leader, violations);
-  return violations;
+  spec.links = make_all_timely(delay);
+  spec.protect.clear();
+  spec.crash_restart = true;  // the crash-recovery model's signature fault
+  spec.actor = [oc](ProcessId) { return std::make_unique<CrOmegaStable>(oc); };
+  spec.check = [&config](Case& c) {
+    check_election<CrOmegaStable>(c, config, true);
+  };
+  return run_case(config, seed, spec);
 }
 
 CaseResult run_consensus(const CampaignConfig& config, std::uint64_t seed) {
-  CaseResult result;
-  std::vector<std::string>& violations = result.violations;
-  auto topo = topology_setup(config, violations);
-  if (!config.topology.empty() && !topo) return result;
-  if (topo && !topo->expect_stabilize) {
-    violations.emplace_back(
-        "the zero-sources control needs no consensus stack; use the ce "
-        "scenario");
-    return result;
-  }
-  SimConfig sc;
-  sc.n = config.n;
-  sc.seed = seed;
-  LinkFactory base = topo ? topo->base : system_s_links(config);
-  Simulator sim(sc, base);
-  auto tracer = maybe_trace(sim, config);
-  obs::ElectionSpanTracker tracker(sim.plane(), config.n);
-  const bool relayed = topo && topo->use_relay;
-  for (ProcessId p = 0; p < static_cast<ProcessId>(config.n); ++p) {
-    if (relayed) {
-      sim.emplace_actor<RelayActor>(
-          p, std::make_unique<CeNode>(ce_config(config), LogConsensusConfig{}));
-    } else {
-      sim.emplace_actor<CeNode>(p, ce_config(config), LogConsensusConfig{});
-    }
-  }
-  NemesisConfig nc = nemesis_for(config, seed);
-  nc.crash_stop_budget = config.crash_stop_budget;
-  nc.protected_processes =
-      topo ? topo->protect : std::vector<ProcessId>{source_of(config)};
-  Nemesis nemesis(sim, base, nc);
-
+  CaseSpec spec(config);
+  spec.topology_aware = true;
+  spec.actor = [&config](ProcessId) {
+    return std::make_unique<CeNode>(ce_config(config), LogConsensusConfig{});
+  };
   // Values proposed mid-chaos, round-robin across processes. A proposal is
   // only *owed* a decision if its submitter was alive at submission and was
   // never crash-stopped (a killed submitter's value may be lost with it).
   constexpr std::uint64_t kValues = 15;
-  std::vector<ProcessId> submitter(kValues);
   std::vector<bool> submitted_alive(kValues, false);
-  for (std::uint64_t k = 0; k < kValues; ++k) {
-    submitter[k] = static_cast<ProcessId>(k % config.n);
-    sim.schedule(1 * kSecond + k * 500 * kMillisecond, [&sim, &submitted_alive,
-                                                        relayed, k]() {
-      ProcessId p = static_cast<ProcessId>(
-          k % static_cast<std::uint64_t>(sim.n()));
-      if (!sim.alive(p)) return;
-      submitted_alive[k] = true;
-      proto_actor<CeNode>(sim, p, relayed).consensus().propose(
-          make_value(k + 1));
-    });
-  }
-  sim.start();
-  sim.run_until(config.horizon);
-  dump_trace(tracer, config);
-
-  check_kill_accounting(sim, nemesis, violations);
-
-  const auto& killed = nemesis.killed();
-  auto was_killed = [&](ProcessId p) {
-    return std::find(killed.begin(), killed.end(), p) != killed.end();
+  auto submitter = [&config](std::uint64_t k) {
+    return static_cast<ProcessId>(k % static_cast<std::uint64_t>(config.n));
   };
-
-  // Agreement: across alive nodes, any two decisions for the same instance
-  // are identical (checked pairwise against the first decided value).
-  Instance max_len = 0;
-  for (ProcessId p = 0; p < static_cast<ProcessId>(config.n); ++p) {
-    if (!sim.alive(p)) continue;
-    max_len = std::max(
-        max_len,
-        proto_actor<CeNode>(sim, p, relayed).consensus().first_unknown());
-  }
-  std::set<std::uint64_t> decided_ids;
-  for (Instance i = 0; i < max_len; ++i) {
-    std::optional<Bytes> expected;
+  spec.before_run = [&](Case& c) {
+    for (std::uint64_t k = 0; k < kValues; ++k) {
+      c.sim.schedule(1 * kSecond + k * 500 * kMillisecond, [&, k]() {
+        const ProcessId p = submitter(k);
+        if (!c.sim.alive(p)) return;
+        submitted_alive[k] = true;
+        c.actor<CeNode>(p).consensus().propose(make_value(k + 1));
+      });
+    }
+  };
+  spec.check = [&](Case& c) {
+    std::vector<std::string>& violations = c.violations();
+    std::vector<ProcessId> alive;
+    Instance max_len = 0;
+    Instance min_len = std::numeric_limits<Instance>::max();
     for (ProcessId p = 0; p < static_cast<ProcessId>(config.n); ++p) {
-      if (!sim.alive(p)) continue;
-      auto v = proto_actor<CeNode>(sim, p, relayed).consensus().decision(i);
-      if (!v) continue;
-      if (!expected) {
-        expected = v;
-        if (!v->empty()) decided_ids.insert(value_id(*v));
-      } else if (*v != *expected) {
-        std::ostringstream what;
-        what << "decision disagreement at instance " << i;
-        violations.push_back(what.str());
+      if (!c.sim.alive(p)) continue;
+      alive.push_back(p);
+      const Instance len = c.actor<CeNode>(p).consensus().first_unknown();
+      max_len = std::max(max_len, len);
+      min_len = std::min(min_len, len);
+    }
+    // Agreement: across alive nodes, any two decisions for the same instance
+    // are identical (checked pairwise against the first decided value).
+    std::set<std::uint64_t> decided_ids;
+    for (Instance i = 0; i < max_len; ++i) {
+      std::optional<Bytes> expected;
+      for (ProcessId p : alive) {
+        auto v = c.actor<CeNode>(p).consensus().decision(i);
+        if (!v) continue;
+        if (!expected) {
+          expected = v;
+          if (!v->empty()) decided_ids.insert(value_id(*v));
+        } else if (*v != *expected) {
+          violations.push_back("decision disagreement at instance " +
+                               std::to_string(i));
+        }
       }
     }
-  }
-
-  // Liveness + completeness: every owed value decided, on every alive node.
-  Instance min_len = max_len;
-  for (ProcessId p = 0; p < static_cast<ProcessId>(config.n); ++p) {
-    if (!sim.alive(p)) continue;
-    min_len = std::min(
-        min_len,
-        proto_actor<CeNode>(sim, p, relayed).consensus().first_unknown());
-  }
-  for (std::uint64_t k = 0; k < kValues; ++k) {
-    if (!submitted_alive[k] || was_killed(submitter[k])) continue;
-    if (!decided_ids.count(k + 1)) {
-      std::ostringstream what;
-      what << "value " << (k + 1) << " (submitted by alive p"
-           << int(submitter[k]) << ") never decided";
-      violations.push_back(what.str());
+    // Liveness + completeness: every owed value decided, on every alive node.
+    const std::vector<ProcessId>& killed = c.nemesis->killed();
+    for (std::uint64_t k = 0; k < kValues; ++k) {
+      const ProcessId p = submitter(k);
+      if (!submitted_alive[k] ||
+          std::find(killed.begin(), killed.end(), p) != killed.end()) {
+        continue;
+      }
+      if (!decided_ids.contains(k + 1)) {
+        violations.push_back("value " + std::to_string(k + 1) +
+                             " (submitted by alive p" + std::to_string(p) +
+                             ") never decided");
+      }
     }
-  }
-  if (min_len < max_len) {
-    std::ostringstream what;
-    what << "alive nodes have not converged: log lengths " << min_len
-         << " vs " << max_len << " at horizon";
-    violations.push_back(what.str());
-  }
-  result.stabilized = !tracker.span_open();
-  collect_histograms(sim, result);
-  return result;
+    if (min_len < max_len) {
+      violations.push_back("alive nodes have not converged: log lengths " +
+                           std::to_string(min_len) + " vs " +
+                           std::to_string(max_len) + " at horizon");
+    }
+  };
+  return run_case(config, seed, spec);
 }
 
-/// One pre-planned client operation of the randomized kv workload.
-struct PlannedKvOp {
-  TimePoint at = 0;
-  ProcessId submitter = kNoProcess;
-  KvOp op = KvOp::kGet;
-  std::string key;
-  std::string value;
-  std::string expected;
-};
+/// The campaign's op mix: 35% get, 20% put, 20% append, 15% CAS, 10%
+/// delete. A CAS expects, on a coin flip, absent/empty or `earlier()` — a
+/// plausible earlier value — so some CAS succeed and some fail.
+KvOp random_op(Rng& rng, std::string& expected,
+               const std::function<std::string()>& earlier) {
+  const std::uint64_t roll = rng.next_below(100);
+  if (roll < 35) return KvOp::kGet;
+  if (roll < 55) return KvOp::kPut;
+  if (roll < 75) return KvOp::kAppend;
+  if (roll >= 90) return KvOp::kDel;
+  expected = rng.chance(0.5) ? std::string() : earlier();
+  return KvOp::kCas;
+}
 
-/// Generates the kv workload for one run: `kv_ops` operations over `kv_keys`
-/// keys at uniform times in [1s, submit_end], submitters uniform over the
-/// cluster. Purely a function of (config, seed) — the schedule is fixed
+/// Schedules the kv scenario's randomized concurrent workload, checked with
+/// checker v2 (per-key partitioning makes thousands of ops tractable):
+/// `kv_ops` operations over `kv_keys` keys at uniform times in
+/// [1s, submit_end], submitters uniform over the cluster, each command's
+/// seq its workload index + 1. Purely a function of (config, seed), drawn
 /// before the simulation starts, so replays regenerate it bit-for-bit.
-std::vector<PlannedKvOp> plan_kv_workload(const CampaignConfig& config,
-                                          std::uint64_t seed,
-                                          TimePoint submit_end) {
+/// Submissions stop midway through the post-quiesce period so the tail of
+/// the run drains in-flight ops; ops from killed submitters stay pending
+/// (responded == kTimeNever), which the checker treats as "may take effect
+/// at any later point or never" — exactly crash semantics.
+void schedule_kv_workload(Case& c, const CampaignConfig& config,
+                          std::uint64_t seed, RecordedHistory& history) {
   // Decorrelated from both the link randomness (raw seed) and the nemesis
   // schedule (different salt).
   Rng rng(seed * 0x9e3779b97f4a7c15ULL ^ 0x6b766f7073ULL);
   const int n_ops = std::max(config.kv_ops, 1);
   const int n_keys = std::max(config.kv_keys, 1);
   const TimePoint submit_begin = 1 * kSecond;
-  std::vector<PlannedKvOp> plan(static_cast<std::size_t>(n_ops));
+  const TimePoint submit_end =
+      std::max(2 * kSecond,
+               config.quiesce + (config.horizon - config.quiesce) / 2);
   for (int k = 0; k < n_ops; ++k) {
-    PlannedKvOp& p = plan[static_cast<std::size_t>(k)];
-    p.at = submit_begin +
-           static_cast<TimePoint>(rng.next_below(
-               static_cast<std::uint64_t>(submit_end - submit_begin)));
-    p.submitter = static_cast<ProcessId>(
+    const TimePoint at =
+        submit_begin + static_cast<TimePoint>(rng.next_below(
+                           static_cast<std::uint64_t>(submit_end - submit_begin)));
+    Command cmd;
+    cmd.origin = static_cast<ProcessId>(
         rng.next_below(static_cast<std::uint64_t>(config.n)));
-    p.key = "k" + std::to_string(rng.next_below(
-                      static_cast<std::uint64_t>(n_keys)));
+    cmd.seq = static_cast<std::uint64_t>(k) + 1;
+    cmd.key = "k" + std::to_string(rng.next_below(
+                        static_cast<std::uint64_t>(n_keys)));
     // Unique-per-op values make lost updates and double applies visible to
     // the checker (two ops never legitimately produce the same value).
-    p.value = "v" + std::to_string(k);
-    const std::uint64_t roll = rng.next_below(100);
-    if (roll < 35) {
-      p.op = KvOp::kGet;
-    } else if (roll < 55) {
-      p.op = KvOp::kPut;
-    } else if (roll < 75) {
-      p.op = KvOp::kAppend;
-    } else if (roll < 90) {
-      p.op = KvOp::kCas;
-      // Half expect "absent/empty", half a plausible earlier value: some
-      // CAS succeed, some fail, both outcomes exercised.
-      p.expected = rng.chance(0.5)
-                       ? std::string()
-                       : "v" + std::to_string(rng.next_below(
-                                   static_cast<std::uint64_t>(n_ops)));
-    } else {
-      p.op = KvOp::kDel;
+    cmd.value = "v" + std::to_string(k);
+    cmd.op = random_op(rng, cmd.expected, [&rng, n_ops] {
+      return "v" +
+             std::to_string(rng.next_below(static_cast<std::uint64_t>(n_ops)));
+    });
+    c.sim.schedule(at, [&c, &history, cmd = std::move(cmd)]() {
+      if (!c.sim.alive(cmd.origin)) return;  // op never issued
+      history.submit(c.actor<KvReplica>(cmd.origin), cmd, c.sim);
+    });
+  }
+}
+
+/// The first alive process holding a valid lease in any group.
+ProcessId lease_holder(Case& c, int n) {
+  for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
+    if (c.sim.alive(p) && c.actor<KvReplica>(p).lease_valid_groups() > 0) {
+      return p;
     }
   }
-  return plan;
+  return kNoProcess;
+}
+
+/// Lease-boundary assassin: poll at a quarter of the lease window; once
+/// armed, the first poll that observes a process holding a valid lease
+/// kills it on the spot. Arm times derive from the seed, so the whole
+/// schedule replays from the CLI. Spends the run's crash budget.
+void arm_lease_assassin(Case& c, const CampaignConfig& config,
+                        std::uint64_t seed, std::vector<ProcessId>& killed) {
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL ^ 0x6c65617365ULL);
+  const TimePoint first_arm =
+      2 * kSecond + static_cast<TimePoint>(rng.next_below(
+                        static_cast<std::uint64_t>(config.quiesce)));
+  const ProcessId spared =
+      c.protect.empty() ? source_of(config) : c.protect.back();
+  c.sim.schedule_every(
+      2 * kSecond, std::max<Duration>(config.lease_duration / 4, 1),
+      [&c, &config, &killed, rng, arm_at = first_arm, spared]() mutable {
+        if (static_cast<int>(killed.size()) >= config.crash_stop_budget) {
+          return false;
+        }
+        if (c.sim.now() < arm_at) return true;
+        const ProcessId holder = lease_holder(c, config.n);
+        if (holder == kNoProcess || holder == spared) return true;
+        // Strict majority must survive every kill.
+        if (static_cast<int>(killed.size() + 1) * 2 >= config.n) return false;
+        killed.push_back(holder);
+        c.sim.crash_now(holder);
+        arm_at = c.sim.now() + 1 * kSecond +
+                 static_cast<Duration>(rng.next_below(
+                     static_cast<std::uint64_t>(config.quiesce / 2)));
+        return true;
+      });
+}
+
+/// Lease sabotage script: elect and write, partition the leaseholder away
+/// from every replica (its self-belief — and thus its fenceless "lease" —
+/// survives, because accusations travel TO the accused and are now
+/// dropped), write through the successor, then read at the deposed leader.
+/// With the fence disabled the deposed leader answers locally from stale
+/// state; the linearizability checker must catch exactly that. `leader`
+/// stays kNoProcess when no leaseholder was found.
+void script_lease_sabotage(Case& c, const CampaignConfig& config,
+                           RecordedHistory& history, ProcessId& leader) {
+  auto submit_at = [&c, &history](ProcessId p, KvOp op, std::string value) {
+    Command cmd;
+    cmd.origin = p;
+    cmd.seq = history.ops().size() + 1;
+    cmd.op = op;
+    cmd.key = "k0";
+    cmd.value = std::move(value);
+    history.submit(c.actor<KvReplica>(p), std::move(cmd), c.sim);
+  };
+  c.sim.schedule(3 * kSecond, [&c, &config, &leader, submit_at]() {
+    leader = lease_holder(c, config.n);
+    if (leader == kNoProcess) return;  // reported as a setup failure
+    submit_at(leader, KvOp::kPut, "old");
+  });
+  c.sim.schedule(5 * kSecond, [&c, &config, &leader]() {
+    if (leader == kNoProcess) return;
+    for (ProcessId q = 0; q < static_cast<ProcessId>(config.n); ++q) {
+      if (q == leader) continue;
+      c.sim.network().set_link(leader, q, std::make_unique<DeadLink>());
+      c.sim.network().set_link(q, leader, std::make_unique<DeadLink>());
+    }
+  });
+  c.sim.schedule(11 * kSecond, [&config, &leader, submit_at]() {
+    if (leader == kNoProcess) return;
+    submit_at(static_cast<ProcessId>((leader + 1) % config.n), KvOp::kPut,
+              "new");
+  });
+  c.sim.schedule(17 * kSecond, [&leader, submit_at]() {
+    if (leader == kNoProcess) return;
+    submit_at(leader, KvOp::kGet, "");
+  });
 }
 
 CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
-  CaseResult early;
-  auto topo = topology_setup(config, early.violations);
-  if (!config.topology.empty() && !topo) return early;
-  if (topo && !topo->expect_stabilize) {
-    early.violations.emplace_back(
-        "the zero-sources control needs no kv stack; use the ce scenario");
-    return early;
-  }
-  SimConfig sc;
-  sc.n = config.n;
-  sc.seed = seed;
-  const bool lease_mode = config.lease_reads || config.lease_sabotage;
-  const bool relayed = topo && topo->use_relay;
-  LinkFactory base;
-  if (topo) {
-    // The profile is authoritative: a lease+assassin run on a preset relies
-    // on the spared ♦-source being the preset's protected source instead of
-    // the legacy second-source grafting below.
-    base = topo->base;
-  } else if (config.lease_reads && !config.lease_sabotage) {
-    // The assassin below kills the leaseholder, which under system S is
-    // (eventually) the ♦-source itself. A second source keeps the liveness
-    // premise alive after the kill: leadership re-stabilizes on the spared
-    // one and pending ops still drain.
+  CaseSpec spec(config);
+  spec.topology_aware = true;
+  // A preset's profile is authoritative: a lease+assassin run on a preset
+  // spares the preset's protected source. On the flat cluster the assassin
+  // kills the leaseholder, which under system S is (eventually) the
+  // ♦-source itself, so a second source keeps the liveness premise alive
+  // after the kill: leadership re-stabilizes on the spared one and pending
+  // ops still drain.
+  if (config.lease_reads && !config.lease_sabotage) {
     SystemSParams params;
     params.sources = {static_cast<ProcessId>(config.n - 2),
                       source_of(config)};
     params.gst = 500 * kMillisecond;
-    base = make_system_s(params);
-  } else {
-    base = system_s_links(config);
+    spec.links = make_system_s(params);
   }
-  Simulator sim(sc, base);
-  auto tracer = maybe_trace(sim, config);
-  obs::ElectionSpanTracker tracker(sim.plane(), config.n);
   // Batching keeps thousands of ops per run affordable: the Θ(n) consensus
   // cost is amortized over each batch.
+  const bool lease_mode = config.lease_reads || config.lease_sabotage;
   KvReplicaConfig rc;
   rc.max_batch = 8;
   rc.batch_flush_delay = 2 * kMillisecond;
@@ -641,254 +666,81 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
   if (lease_mode) oc.lease_duration = config.lease_duration;
   const KvReplica::Options opts{
       .omega = oc, .consensus = lc, .replica = rc, .shards = config.shards};
-  for (ProcessId p = 0; p < static_cast<ProcessId>(config.n); ++p) {
-    if (relayed) {
-      sim.emplace_actor<RelayActor>(p, std::make_unique<KvReplica>(opts));
-    } else {
-      sim.emplace_actor<KvReplica>(p, opts);
-    }
-  }
+  spec.actor = [opts](ProcessId) { return std::make_unique<KvReplica>(opts); };
   // The sabotage script needs a controlled execution: no nemesis chaos, the
   // scripted partition is the only fault. Lease-assassin runs hand the
   // whole crash budget to the assassin (killing at a *meaningful* moment
   // instead of a random one).
-  std::optional<Nemesis> nemesis;
-  if (!config.lease_sabotage) {
-    NemesisConfig nc = nemesis_for(config, seed);
-    nc.crash_stop_budget =
-        config.lease_reads ? 0 : config.crash_stop_budget;
-    nc.protected_processes =
-        topo ? topo->protect : std::vector<ProcessId>{source_of(config)};
-    nemesis.emplace(sim, base, nc);
-  }
-
-  auto holder_of = [&sim, &config, relayed]() {
-    for (ProcessId p = 0; p < static_cast<ProcessId>(config.n); ++p) {
-      if (!sim.alive(p)) continue;
-      if (proto_actor<KvReplica>(sim, p, relayed).lease_valid_groups() > 0) {
-        return p;
-      }
+  spec.nemesis = !config.lease_sabotage;
+  if (config.lease_reads) spec.kills = 0;
+  RecordedHistory history;
+  std::vector<ProcessId> lease_killed;
+  ProcessId sab_leader = kNoProcess;
+  spec.before_run = [&](Case& c) {
+    if (config.lease_reads && !config.lease_sabotage &&
+        config.crash_stop_budget > 0) {
+      arm_lease_assassin(c, config, seed, lease_killed);
     }
-    return kNoProcess;
+    if (config.lease_sabotage) {
+      script_lease_sabotage(c, config, history, sab_leader);
+    } else {
+      schedule_kv_workload(c, config, seed, history);
+    }
   };
-
-  // Lease-boundary assassin: poll at a quarter of the lease window; once
-  // armed, the first poll that observes a process holding a valid lease
-  // kills it on the spot. Arm times derive from the seed, so the whole
-  // schedule replays from the CLI.
-  auto lease_killed = std::make_shared<std::vector<ProcessId>>();
-  if (config.lease_reads && !config.lease_sabotage &&
-      config.crash_stop_budget > 0) {
-    auto kill_rng = std::make_shared<Rng>(seed * 0x9e3779b97f4a7c15ULL ^
-                                          0x6c65617365ULL);
-    auto arm_at = std::make_shared<TimePoint>(
-        2 * kSecond +
-        static_cast<TimePoint>(kill_rng->next_below(
-            static_cast<std::uint64_t>(config.quiesce))));
-    auto budget = std::make_shared<int>(config.crash_stop_budget);
-    const ProcessId spared =
-        topo && !topo->protect.empty() ? topo->protect.back()
-                                       : source_of(config);
-    sim.schedule_every(
-        2 * kSecond, std::max<Duration>(config.lease_duration / 4, 1),
-        [&sim, &config, holder_of, lease_killed, kill_rng, arm_at, budget,
-         spared]() {
-          if (*budget <= 0) return false;
-          if (sim.now() < *arm_at) return true;
-          const ProcessId holder = holder_of();
-          if (holder == kNoProcess || holder == spared) return true;
-          // Strict majority must survive every kill.
-          if (static_cast<int>(lease_killed->size() + 1) * 2 >= config.n) {
-            return false;
-          }
-          lease_killed->push_back(holder);
-          sim.crash_now(holder);
-          --*budget;
-          *arm_at = sim.now() + 1 * kSecond +
-                    static_cast<Duration>(kill_rng->next_below(
-                        static_cast<std::uint64_t>(config.quiesce / 2)));
-          return true;
+  spec.check = [&](Case& c) {
+    if (!config.hist_path.empty()) {
+      HistoryMeta meta;
+      meta.source = "lls_campaign/kv";
+      meta.seed = seed;
+      write_history_file(config.hist_path, history.ops(), meta);
+    }
+    std::vector<std::string>& violations = c.violations();
+    if (config.lease_sabotage && sab_leader == kNoProcess) {
+      violations.emplace_back(
+          "lease sabotage script never found a leaseholder to depose");
+    }
+    // Liveness: an op submitted at a never-killed replica must complete once
+    // the network heals (same owed-a-decision rule as the consensus
+    // scenario). Assassin victims count as killed; the sabotage script's
+    // permanent partition intentionally violates the healing premise, so
+    // the obligation is waived there.
+    std::vector<ProcessId> killed =
+        c.nemesis ? c.nemesis->killed() : std::vector<ProcessId>{};
+    killed.insert(killed.end(), lease_killed.begin(), lease_killed.end());
+    const auto owed_pending = std::count_if(
+        history.ops().begin(), history.ops().end(), [&](const HistoryOp& op) {
+          return op.responded == kTimeNever &&
+                 std::find(killed.begin(), killed.end(), op.cmd.origin) ==
+                     killed.end();
         });
-  }
-
-  // Randomized concurrent workload, checked with checker v2 (per-key
-  // partitioning makes thousands of ops tractable). Submissions stop
-  // midway through the post-quiesce period so the tail of the run drains
-  // in-flight ops; ops from killed submitters stay pending
-  // (responded == kTimeNever), which the checker treats as "may take
-  // effect at any later point or never" — exactly crash semantics.
-  const TimePoint submit_end =
-      std::max(2 * kSecond,
-               config.quiesce + (config.horizon - config.quiesce) / 2);
-  auto plan = std::make_shared<std::vector<PlannedKvOp>>(
-      config.lease_sabotage ? std::vector<PlannedKvOp>{}
-                            : plan_kv_workload(config, seed, submit_end));
-  auto history = std::make_shared<std::vector<HistoryOp>>();
-  history->reserve(plan->size());
-  for (std::size_t k = 0; k < plan->size(); ++k) {
-    sim.schedule((*plan)[k].at, [&sim, plan, history, k, relayed]() {
-      const PlannedKvOp& spec = (*plan)[k];
-      if (!sim.alive(spec.submitter)) return;  // op never issued
-      HistoryOp op;
-      op.cmd.origin = spec.submitter;
-      op.cmd.seq = static_cast<std::uint64_t>(k) + 1;  // workload index
-      op.cmd.op = spec.op;
-      op.cmd.key = spec.key;
-      op.cmd.value = spec.value;
-      op.cmd.expected = spec.expected;
-      op.invoked = sim.now();
-      std::size_t slot = history->size();
-      history->push_back(op);
-      auto done = [history, slot, &sim](const KvResult& result) {
-        (*history)[slot].responded = sim.now();
-        (*history)[slot].result = result;
-      };
-      proto_actor<KvReplica>(sim, spec.submitter, relayed)
-          .submit(spec.op, spec.key, spec.value, spec.expected,
-                  std::move(done));
-    });
-  }
-  // Lease sabotage script: elect and write, partition the leaseholder away
-  // from every replica (its self-belief — and thus its fenceless "lease" —
-  // survives, because accusations travel TO the accused and are now
-  // dropped), write through the successor, then read at the deposed leader.
-  // With the fence disabled the deposed leader answers locally from stale
-  // state; the linearizability checker must catch exactly that.
-  auto sab_leader = std::make_shared<ProcessId>(kNoProcess);
-  if (config.lease_sabotage) {
-    auto submit_at = [&sim, history, relayed](ProcessId p, KvOp op,
-                                              std::string key,
-                                              std::string value) {
-      HistoryOp rec;
-      rec.cmd.origin = p;
-      rec.cmd.seq = static_cast<std::uint64_t>(history->size()) + 1;
-      rec.cmd.op = op;
-      rec.cmd.key = key;
-      rec.cmd.value = value;
-      rec.invoked = sim.now();
-      const std::size_t slot = history->size();
-      history->push_back(rec);
-      auto done = [history, slot, &sim](const KvResult& result) {
-        (*history)[slot].responded = sim.now();
-        (*history)[slot].result = result;
-      };
-      proto_actor<KvReplica>(sim, p, relayed)
-          .submit(op, std::move(key), std::move(value), "", std::move(done));
-    };
-    sim.schedule(3 * kSecond, [sab_leader, holder_of, submit_at]() {
-      *sab_leader = holder_of();
-      if (*sab_leader == kNoProcess) return;  // reported as a setup failure
-      submit_at(*sab_leader, KvOp::kPut, "k0", "old");
-    });
-    sim.schedule(5 * kSecond, [&sim, &config, sab_leader]() {
-      const ProcessId l = *sab_leader;
-      if (l == kNoProcess) return;
-      for (ProcessId q = 0; q < static_cast<ProcessId>(config.n); ++q) {
-        if (q == l) continue;
-        sim.network().set_link(l, q, std::make_unique<DeadLink>());
-        sim.network().set_link(q, l, std::make_unique<DeadLink>());
-      }
-    });
-    sim.schedule(11 * kSecond, [&config, sab_leader, submit_at]() {
-      if (*sab_leader == kNoProcess) return;
-      submit_at(static_cast<ProcessId>((*sab_leader + 1) % config.n),
-                KvOp::kPut, "k0", "new");
-    });
-    sim.schedule(17 * kSecond, [sab_leader, submit_at]() {
-      if (*sab_leader == kNoProcess) return;
-      submit_at(*sab_leader, KvOp::kGet, "k0", "");
-    });
-  }
-
-  sim.start();
-  sim.run_until(config.horizon);
-  dump_trace(tracer, config);
-  if (!config.hist_path.empty()) {
-    HistoryMeta meta;
-    meta.source = "lls_campaign/kv";
-    meta.seed = seed;
-    write_history_file(config.hist_path, *history, meta);
-  }
-
-  CaseResult result;
-  std::vector<std::string>& violations = result.violations;
-  if (nemesis) check_kill_accounting(sim, *nemesis, violations);
-  if (config.lease_sabotage && *sab_leader == kNoProcess) {
-    violations.emplace_back(
-        "lease sabotage script never found a leaseholder to depose");
-  }
-
-  // Liveness: an op submitted at a never-killed replica must complete once
-  // the network heals (same owed-a-decision rule as the consensus
-  // scenario). Assassin victims count as killed; the sabotage script's
-  // permanent partition intentionally violates the healing premise, so the
-  // obligation is waived there.
-  std::vector<ProcessId> killed =
-      nemesis ? nemesis->killed() : std::vector<ProcessId>{};
-  killed.insert(killed.end(), lease_killed->begin(), lease_killed->end());
-  std::size_t owed_pending = 0;
-  for (const HistoryOp& op : *history) {
-    if (op.responded != kTimeNever) continue;
-    if (std::find(killed.begin(), killed.end(), op.cmd.origin) ==
-        killed.end()) {
-      ++owed_pending;
+    if (owed_pending > 0 && !config.lease_sabotage) {
+      violations.push_back(std::to_string(owed_pending) +
+                           " ops from never-killed submitters never "
+                           "completed by the horizon");
     }
-  }
-  if (owed_pending > 0 && !config.lease_sabotage) {
-    std::ostringstream what;
-    what << owed_pending << " ops from never-killed submitters never "
-         << "completed by the horizon";
-    violations.push_back(what.str());
-  }
-
-  // Convergence: alive replicas hold byte-identical stores at the horizon —
-  // per group (the groups' stores are disjoint key partitions that must each
-  // converge independently).
-  std::vector<std::optional<std::uint64_t>> digests;
-  std::vector<bool> diverged;
-  for (ProcessId p = 0;
-       !config.lease_sabotage && p < static_cast<ProcessId>(config.n); ++p) {
-    if (!sim.alive(p)) continue;
-    const KvReplica& replica = proto_actor<KvReplica>(sim, p, relayed);
-    const auto groups = static_cast<std::size_t>(replica.shards());
-    digests.resize(groups);
-    diverged.resize(groups, false);
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::uint64_t d =
-          replica.group(static_cast<int>(g)).store().digest();
-      auto& ref = digests[g];
-      if (!ref) {
-        ref = d;
-      } else if (*ref != d && !diverged[g]) {
-        diverged[g] = true;
-        violations.emplace_back(
-            "alive replicas diverged: store digests differ (shard " +
-            std::to_string(g) + ")");
+    // Convergence: alive replicas hold byte-identical stores at the
+    // horizon, per group.
+    if (!config.lease_sabotage) {
+      std::set<std::size_t> reported;
+      for (const StoreFindings& found :
+           audit_stores(alive_stores<KvReplica>(c.sim, config.n, c.relayed))) {
+        for (std::size_t g : found.diverged) {
+          if (reported.insert(g).second) {
+            violations.push_back(
+                "alive replicas diverged: store digests differ (shard " +
+                std::to_string(g) + ")");
+          }
+        }
       }
     }
-  }
-
-  LinOptions lo;
-  lo.max_nodes = config.lin_max_nodes;
-  LinReport report = LinearizabilityChecker::check_report(*history, lo);
-  switch (report.verdict) {
-    case LinVerdict::kLinearizable:
-      break;
-    case LinVerdict::kNotLinearizable: {
-      std::ostringstream what;
-      what << "client history is not linearizable: partition \""
-           << report.failed_partition << "\", minimal core of "
-           << report.core.size() << " ops (of " << history->size() << ")";
-      violations.push_back(what.str());
-      break;
-    }
-    case LinVerdict::kBudgetExceeded:
-      result.lin_budget_exceeded = true;
-      break;
-  }
-  result.stabilized = !tracker.span_open();
-  collect_histograms(sim, result);
-  return result;
+    LinOptions lo;
+    lo.max_nodes = config.lin_max_nodes;
+    judge_linearizability(
+        LinearizabilityChecker::check_report(history.ops(), lo),
+        "client history", history.ops().size(), violations,
+        c.result.lin_budget_exceeded);
+  };
+  return run_case(config, seed, spec);
 }
 
 /// External client sessions under chaos: replicas at [0, n), ClusterClient
@@ -900,32 +752,17 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
 /// acked token present everywhere, and every client drained (liveness).
 CaseResult run_client_session(const CampaignConfig& config,
                               std::uint64_t seed) {
-  if (!config.topology.empty()) {
-    return only_violations(
-        {"topology presets are not supported by the client scenario"});
-  }
   constexpr int kClients = 3;
   const int cluster_n = config.n;
-  SimConfig sc;
-  sc.n = cluster_n + kClients;
-  sc.seed = seed;
-  LinkFactory base = system_s_links(config);
-  Simulator sim(sc, base);
-  auto tracer = maybe_trace(sim, config);
-  // Server-side history, assembled from the obs client-request/reply
-  // events: a second, independently recorded view of the same execution.
-  BusHistoryRecorder recorder(sim.plane().bus());
-
+  CaseSpec spec(config);
+  spec.clients = kClients;
+  for (int ci = 0; ci < kClients; ++ci) {
+    spec.protect.push_back(static_cast<ProcessId>(cluster_n + ci));
+  }
   KvReplicaConfig rc;
   rc.cluster_n = cluster_n;
   rc.max_batch = 4;
   rc.batch_flush_delay = 2 * kMillisecond;
-  for (ProcessId p = 0; p < static_cast<ProcessId>(cluster_n); ++p) {
-    sim.emplace_actor<KvReplica>(
-        p, KvReplica::Options{.omega = ce_config(config),
-                              .consensus = LogConsensusConfig{},
-                              .replica = rc});
-  }
   ClusterClientConfig cc;
   cc.cluster_n = cluster_n;
   cc.window = 2;
@@ -936,132 +773,90 @@ CaseResult run_client_session(const CampaignConfig& config,
   // negligible.
   cc.attempt_timeout = 100 * kMillisecond;
   cc.backoff_max = 240 * kMillisecond;
-  std::vector<ClusterClient*> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.push_back(&sim.emplace_actor<ClusterClient>(
-        static_cast<ProcessId>(cluster_n + c), cc));
-  }
+  spec.actor = [&config, rc, cc](ProcessId p) -> std::unique_ptr<Actor> {
+    if (p >= static_cast<ProcessId>(config.n)) {
+      return std::make_unique<ClusterClient>(cc);
+    }
+    return std::make_unique<KvReplica>(
+        KvReplica::Options{.omega = ce_config(config),
+                           .consensus = LogConsensusConfig{},
+                           .replica = rc});
+  };
 
-  NemesisConfig nc = nemesis_for(config, seed);
-  nc.crash_stop_budget = config.crash_stop_budget;
-  nc.protected_processes.push_back(source_of(config));
-  for (int c = 0; c < kClients; ++c) {
-    nc.protected_processes.push_back(static_cast<ProcessId>(cluster_n + c));
-  }
-  Nemesis nemesis(sim, base, nc);
-
+  // Server-side history, assembled from the obs client-request/reply
+  // events: a second, independently recorded view of the same execution.
+  std::optional<BusHistoryRecorder> recorder;
   // Closed loop: each client keeps its window full of uniquely-tokened
   // appends until submit_end, leaving the rest of the run to drain.
   const TimePoint submit_end = config.quiesce + 2 * kSecond;
-  auto acked_tokens = std::make_shared<std::vector<std::string>>();
-  auto counter = std::make_shared<std::uint64_t>(0);
-  auto submit_one = std::make_shared<std::function<void(int)>>();
-  *submit_one = [&sim, clients, acked_tokens, counter, submit_end, cluster_n,
-                 submit_one](int ci) {
-    std::string token = std::to_string(cluster_n + ci) + "." +
-                        std::to_string(++*counter) + ";";
-    std::string key = "audit" + std::to_string(ci % 2);
-    clients[static_cast<std::size_t>(ci)]->submit(
-        KvOp::kAppend, std::move(key), token, "",
-        [&sim, acked_tokens, token, submit_end, submit_one,
-         ci](const ClientCompletion& done) {
-          if (!done.timed_out) acked_tokens->push_back(token);
-          if (sim.now() < submit_end) (*submit_one)(ci);
-        });
+  std::vector<std::string> acked_tokens;
+  std::uint64_t counter = 0;
+  std::function<void(int)> submit_one;
+  spec.before_run = [&](Case& c) {
+    recorder.emplace(c.sim.plane().bus());
+    submit_one = [&, &sim = c.sim](int ci) {
+      std::string token = std::to_string(cluster_n + ci) + "." +
+                          std::to_string(++counter) + ";";
+      sim.actor_as<ClusterClient>(static_cast<ProcessId>(cluster_n + ci))
+          .submit(KvOp::kAppend, "audit" + std::to_string(ci % 2), token, "",
+                  [&, token, ci](const ClientCompletion& done) {
+                    if (!done.timed_out) acked_tokens.push_back(token);
+                    if (sim.now() < submit_end) submit_one(ci);
+                  });
+    };
+    c.sim.schedule(1 * kSecond, [&submit_one]() {
+      for (int ci = 0; ci < kClients; ++ci) {
+        for (int k = 0; k < 2; ++k) submit_one(ci);
+      }
+    });
   };
-  sim.schedule(1 * kSecond, [submit_one]() {
-    for (int c = 0; c < kClients; ++c) {
-      for (int k = 0; k < 2; ++k) (*submit_one)(c);
-    }
-  });
-
-  sim.start();
-  sim.run_until(config.horizon);
-  dump_trace(tracer, config);
-  // The closed-loop closure captures its own shared_ptr; break the cycle so
-  // repeated campaign cases in one process do not accumulate.
-  *submit_one = nullptr;
-
-  CaseResult result;
-  std::vector<std::string>& violations = result.violations;
-  check_kill_accounting(sim, nemesis, violations);
-
-  // Liveness: with no request deadline, every submission must be acked once
-  // the cluster stabilizes; an undrained client means a lost session.
-  for (int c = 0; c < kClients; ++c) {
-    const ClusterClient& client = *clients[static_cast<std::size_t>(c)];
-    if (client.inflight() + client.queued() > 0) {
-      std::ostringstream what;
-      what << "client p" << (cluster_n + c) << " still has "
-           << (client.inflight() + client.queued())
-           << " requests outstanding at horizon";
-      violations.push_back(what.str());
-    }
-  }
-
-  // Exactly-once audit over every alive replica.
-  std::optional<std::uint64_t> digest;
-  for (ProcessId p = 0; p < static_cast<ProcessId>(cluster_n); ++p) {
-    if (!sim.alive(p)) continue;
-    const KvStore& store = sim.actor_as<KvReplica>(p).store();
-    std::uint64_t d = store.digest();
-    if (!digest) {
-      digest = d;
-    } else if (*digest != d) {
-      std::ostringstream what;
-      what << "replica p" << p << " store digest diverges";
-      violations.push_back(what.str());
-    }
-    std::map<std::string, int> census;
-    for (const auto& [key, value] : store.data()) {
-      std::size_t begin = 0;
-      while (begin < value.size()) {
-        std::size_t end = value.find(';', begin);
-        if (end == std::string::npos) break;
-        ++census[value.substr(begin, end - begin + 1)];
-        begin = end + 1;
+  spec.check = [&](Case& c) {
+    std::vector<std::string>& violations = c.violations();
+    // Liveness: with no request deadline, every submission must be acked
+    // once the cluster stabilizes; an undrained client means a lost session.
+    for (int ci = 0; ci < kClients; ++ci) {
+      const auto& client = c.sim.actor_as<const ClusterClient>(
+          static_cast<ProcessId>(cluster_n + ci));
+      if (client.inflight() + client.queued() > 0) {
+        violations.push_back(
+            "client p" + std::to_string(cluster_n + ci) + " still has " +
+            std::to_string(client.inflight() + client.queued()) +
+            " requests outstanding at horizon");
       }
     }
-    for (const auto& [token, count] : census) {
-      if (count > 1) {
-        std::ostringstream what;
-        what << "replica p" << p << ": token " << token << " applied "
-             << count << " times (duplicate)";
-        violations.push_back(what.str());
+    // Exactly-once audit over every alive replica.
+    const std::vector<ReplicaStores> replicas =
+        alive_stores<KvReplica>(c.sim, cluster_n);
+    for (const StoreFindings& found : audit_stores(replicas, &acked_tokens)) {
+      const std::string at = "replica p" + std::to_string(found.process);
+      if (!found.diverged.empty()) {
+        violations.push_back(at + " store digest diverges");
+      }
+      for (const std::string& key : found.malformed_keys) {
+        violations.push_back(at + ": key " + key +
+                             " holds a malformed token tail");
+      }
+      for (const auto& [token, count] : found.duplicates) {
+        violations.push_back(at + ": token " + token + " applied " +
+                             std::to_string(count) + " times (duplicate)");
+      }
+      // One lost token per replica is signal enough.
+      if (!found.lost.empty()) {
+        violations.push_back(at + ": acked token " + found.lost.front() +
+                             " missing (lost write)");
       }
     }
-    for (const std::string& token : *acked_tokens) {
-      if (census.find(token) == census.end()) {
-        std::ostringstream what;
-        what << "replica p" << p << ": acked token " << token
-             << " missing (lost write)";
-        violations.push_back(what.str());
-        break;  // one lost token per replica is signal enough
-      }
-    }
-  }
-  if (!digest) violations.emplace_back("no alive replica to audit");
-
-  // The server-side recorded history must itself be linearizable: the obs
-  // events bracket each op's log-order effect point, so this checks the
-  // same contract from the replicas' vantage instead of the clients'.
-  LinReport report = LinearizabilityChecker::check_report(recorder.history());
-  switch (report.verdict) {
-    case LinVerdict::kLinearizable:
-      break;
-    case LinVerdict::kNotLinearizable: {
-      std::ostringstream what;
-      what << "recorded server-side history is not linearizable: partition \""
-           << report.failed_partition << "\", core of " << report.core.size()
-           << " ops";
-      violations.push_back(what.str());
-      break;
-    }
-    case LinVerdict::kBudgetExceeded:
-      result.lin_budget_exceeded = true;
-      break;
-  }
-  return result;
+    if (replicas.empty()) violations.emplace_back("no alive replica to audit");
+    // The server-side recorded history must itself be linearizable: the obs
+    // events bracket each op's log-order effect point, so this checks the
+    // same contract from the replicas' vantage instead of the clients'.
+    judge_linearizability(
+        LinearizabilityChecker::check_report(recorder->history()),
+        "recorded server-side history", std::nullopt, violations,
+        c.result.lin_budget_exceeded);
+    recorder.reset();  // unsubscribes before the simulator's bus goes
+  };
+  return run_case(config, seed, spec);
 }
 
 }  // namespace
@@ -1072,9 +867,9 @@ CaseResult run_campaign_case(const CampaignConfig& config,
     case Scenario::kCeOmega:
       return run_ce_omega(config, seed);
     case Scenario::kAll2AllOmega:
-      return only_violations(run_all2all(config, seed));
+      return run_all2all(config, seed);
     case Scenario::kCrOmegaStable:
-      return only_violations(run_cr_omega(config, seed));
+      return run_cr_omega(config, seed);
     case Scenario::kConsensus:
       return run_consensus(config, seed);
     case Scenario::kKvLinearizable:
@@ -1082,7 +877,9 @@ CaseResult run_campaign_case(const CampaignConfig& config,
     case Scenario::kClientSession:
       return run_client_session(config, seed);
   }
-  return only_violations({"unknown scenario"});
+  CaseResult unknown;
+  unknown.violations.emplace_back("unknown scenario");
+  return unknown;
 }
 
 std::string replay_command(const CampaignConfig& config, std::uint64_t seed) {
@@ -1215,6 +1012,8 @@ SoakResult run_soak(const SoakConfig& config, std::FILE* log) {
   SoakResult result;
   std::vector<std::string>& violations = result.violations;
   const int n = config.n;
+  // The workload's client history (the replicas' callbacks point into it).
+  RecordedHistory history;
 
   SimConfig sc;
   sc.n = n;
@@ -1222,11 +1021,10 @@ SoakResult run_soak(const SoakConfig& config, std::FILE* log) {
   // Topology churn through a live factory: heals and recoveries always
   // re-instantiate from the *current* profile, and a churn swap rebuilds
   // every directed link in place.
-  auto profiles =
-      std::make_shared<std::vector<TopologyProfile>>(soak_profiles(n));
-  auto current = std::make_shared<std::size_t>(0);
-  LinkFactory base = [profiles, current](ProcessId src, ProcessId dst) {
-    return (*profiles)[*current].link(src, dst).instantiate();
+  const std::vector<TopologyProfile> profiles = soak_profiles(n);
+  std::size_t current = 0;
+  LinkFactory base = [&profiles, &current](ProcessId src, ProcessId dst) {
+    return profiles[current].link(src, dst).instantiate();
   };
   Simulator sim(sc, base);
   obs::ElectionSpanTracker tracker(sim.plane(), n);
@@ -1234,24 +1032,19 @@ SoakResult run_soak(const SoakConfig& config, std::FILE* log) {
   // Crash/recover telemetry off the bus: recoveries are counted, and crash
   // times waive the completion obligation of ops whose callback died with
   // the submitter's volatile state.
-  struct Telemetry {
-    std::vector<std::vector<TimePoint>> crashes;
-    int restarts = 0;
-  };
-  auto telem = std::make_shared<Telemetry>();
-  telem->crashes.resize(static_cast<std::size_t>(n));
+  std::vector<std::vector<TimePoint>> crashes(static_cast<std::size_t>(n));
   obs::Subscription sub = sim.plane().bus().subscribe(
       obs::mask_of(obs::EventType::kCrash) |
           obs::mask_of(obs::EventType::kRecover),
-      [telem, n](const obs::Event& e) {
+      [&crashes, &result, n](const obs::Event& e) {
         if (e.process == kNoProcess ||
             e.process >= static_cast<ProcessId>(n)) {
           return;
         }
         if (e.type == obs::EventType::kCrash) {
-          telem->crashes[static_cast<std::size_t>(e.process)].push_back(e.t);
+          crashes[static_cast<std::size_t>(e.process)].push_back(e.t);
         } else {
-          ++telem->restarts;
+          ++result.restarts;
         }
       });
 
@@ -1288,21 +1081,21 @@ SoakResult run_soak(const SoakConfig& config, std::FILE* log) {
   // Topology churn: swap the live profile and rebuild every directed link.
   sim.schedule_every(
       config.churn_period, config.churn_period,
-      [&sim, profiles, current, &result, log, &config]() {
-        *current = (*current + 1) % profiles->size();
+      [&sim, &profiles, &current, &result, log, &config]() {
+        current = (current + 1) % profiles.size();
         ++result.churns;
         for (ProcessId s = 0; s < static_cast<ProcessId>(sim.n()); ++s) {
           for (ProcessId d = 0; d < static_cast<ProcessId>(sim.n()); ++d) {
             if (s == d) continue;
             sim.network().set_link(
-                s, d, (*profiles)[*current].link(s, d).instantiate());
+                s, d, profiles[current].link(s, d).instantiate());
           }
         }
         if (log != nullptr && config.verbose) {
           std::fprintf(log, "[soak] t=%.0fs churn -> %s\n",
                        static_cast<double>(sim.now()) /
                            static_cast<double>(kSecond),
-                       (*profiles)[*current].name.c_str());
+                       profiles[current].name.c_str());
         }
         return true;
       });
@@ -1340,59 +1133,29 @@ SoakResult run_soak(const SoakConfig& config, std::FILE* log) {
   const TimePoint submit_end = config.duration > config.drain
                                    ? config.duration - config.drain
                                    : config.duration / 2;
-  auto wl_rng = std::make_shared<Rng>(config.seed * 0x9e3779b97f4a7c15ULL ^
-                                      0x736f616bULL);
-  auto history = std::make_shared<std::vector<HistoryOp>>();
-  auto op_counter = std::make_shared<std::uint64_t>(0);
+  Rng wl_rng(config.seed * 0x9e3779b97f4a7c15ULL ^ 0x736f616bULL);
+  std::uint64_t op_counter = 0;
   const Duration period = std::max<Duration>(
       kSecond / static_cast<Duration>(std::max(config.ops_per_sec, 1)), 1);
   sim.schedule_every(
       1 * kSecond, period,
-      [&sim, wl_rng, history, op_counter, &result, &config, submit_end]() {
+      [&, submit_end]() {
         if (sim.now() >= submit_end) return false;
-        const auto p = static_cast<ProcessId>(
-            wl_rng->next_below(static_cast<std::uint64_t>(sim.n())));
-        const std::string key =
-            "k" + std::to_string(wl_rng->next_below(
+        Command cmd;
+        cmd.origin = static_cast<ProcessId>(
+            wl_rng.next_below(static_cast<std::uint64_t>(sim.n())));
+        cmd.key =
+            "k" + std::to_string(wl_rng.next_below(
                       static_cast<std::uint64_t>(std::max(config.kv_keys, 1))));
-        const std::uint64_t id = ++*op_counter;
-        const std::string value = "s" + std::to_string(id);
-        KvOp op = KvOp::kGet;
-        std::string expected;
-        const std::uint64_t roll = wl_rng->next_below(100);
-        if (roll < 35) {
-          op = KvOp::kGet;
-        } else if (roll < 55) {
-          op = KvOp::kPut;
-        } else if (roll < 75) {
-          op = KvOp::kAppend;
-        } else if (roll < 90) {
-          op = KvOp::kCas;
-          expected = wl_rng->chance(0.5)
-                         ? std::string()
-                         : "s" + std::to_string(wl_rng->next_below(id) + 1);
-        } else {
-          op = KvOp::kDel;
-        }
-        if (!sim.alive(p)) return true;  // op never issued
+        cmd.seq = ++op_counter;
+        cmd.value = "s" + std::to_string(cmd.seq);
+        cmd.op = random_op(wl_rng, cmd.expected, [&] {
+          return "s" + std::to_string(wl_rng.next_below(cmd.seq) + 1);
+        });
+        if (!sim.alive(cmd.origin)) return true;  // op never issued
         ++result.ops_submitted;
-        HistoryOp rec;
-        rec.cmd.origin = p;
-        rec.cmd.seq = id;
-        rec.cmd.op = op;
-        rec.cmd.key = key;
-        rec.cmd.value = value;
-        rec.cmd.expected = expected;
-        rec.invoked = sim.now();
-        const std::size_t slot = history->size();
-        history->push_back(rec);
-        auto done = [history, slot, &sim, &result](const KvResult& r) {
-          (*history)[slot].responded = sim.now();
-          (*history)[slot].result = r;
-          ++result.ops_completed;
-        };
-        sim.actor_as<CrKvReplica>(p).submit(op, key, value, expected,
-                                            std::move(done));
+        CrKvReplica& replica = sim.actor_as<CrKvReplica>(cmd.origin);
+        history.submit(replica, std::move(cmd), sim);
         return true;
       });
 
@@ -1412,12 +1175,14 @@ SoakResult run_soak(const SoakConfig& config, std::FILE* log) {
   // waived — the op itself may or may not have been applied, which is
   // exactly the pending semantics the checker assumes).
   std::size_t owed_pending = 0;
-  for (const HistoryOp& op : *history) {
-    if (op.responded != kTimeNever) continue;
-    const auto& crashes = telem->crashes[static_cast<std::size_t>(
-        op.cmd.origin)];
+  for (const HistoryOp& op : history.ops()) {
+    if (op.responded != kTimeNever) {
+      ++result.ops_completed;
+      continue;
+    }
+    const auto& at = crashes[static_cast<std::size_t>(op.cmd.origin)];
     const bool waived = std::any_of(
-        crashes.begin(), crashes.end(),
+        at.begin(), at.end(),
         [&op](TimePoint t) { return t >= op.invoked; });
     if (!waived) ++owed_pending;
   }
@@ -1428,46 +1193,20 @@ SoakResult run_soak(const SoakConfig& config, std::FILE* log) {
   }
 
   // Convergence: all replicas hold byte-identical stores.
-  std::optional<std::uint64_t> digest;
-  for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
-    if (!sim.alive(p)) continue;
-    const std::uint64_t d = sim.actor_as<CrKvReplica>(p).store().digest();
-    if (!digest) {
-      digest = d;
-    } else if (*digest != d) {
-      violations.emplace_back(
-          "replicas diverged: store digests differ at the end of the soak");
-      break;
-    }
+  const auto findings = audit_stores(alive_stores<CrKvReplica>(sim, n));
+  if (std::any_of(findings.begin(), findings.end(),
+                  [](const StoreFindings& f) { return !f.diverged.empty(); })) {
+    violations.emplace_back(
+        "replicas diverged: store digests differ at the end of the soak");
   }
 
   LinOptions lo;
   lo.max_nodes = config.lin_max_nodes;
-  LinReport report = LinearizabilityChecker::check_report(*history, lo);
-  switch (report.verdict) {
-    case LinVerdict::kLinearizable:
-      break;
-    case LinVerdict::kNotLinearizable: {
-      std::ostringstream what;
-      what << "soak history is not linearizable: partition \""
-           << report.failed_partition << "\", minimal core of "
-           << report.core.size() << " ops (of " << history->size() << ")";
-      violations.push_back(what.str());
-      break;
-    }
-    case LinVerdict::kBudgetExceeded:
-      result.lin_budget_exceeded = true;
-      break;
-  }
+  judge_linearizability(
+      LinearizabilityChecker::check_report(history.ops(), lo), "soak history",
+      history.ops().size(), violations, result.lin_budget_exceeded);
 
-  result.restarts = telem->restarts;
-  for (const auto& [name, hist] : sim.plane().registry().histograms()) {
-    if (name == "election_stabilization_ms") {
-      result.stabilization_span_ms.merge(hist);
-    } else if (name.rfind("consensus_decide_latency_ms", 0) == 0) {
-      result.decide_latency_ms.merge(hist);
-    }
-  }
+  collect_histograms(sim, result);
   if (log != nullptr) {
     std::fprintf(log,
                  "[soak] %d eras, %d churns, %d restarts, %" PRIu64

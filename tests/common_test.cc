@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/serialization.h"
 #include "common/types.h"
@@ -148,21 +147,6 @@ TEST(Rng, ForkDecorrelates) {
     equal += child.next_u64() == parent.next_u64() ? 1 : 0;
   }
   EXPECT_LT(equal, 4);
-}
-
-TEST(Metrics, TimeSeriesBucketsAndRangeSum) {
-  TimeSeries ts(10);
-  ts.record(0);
-  ts.record(9);
-  ts.record(10);
-  ts.record(25, 5);
-  EXPECT_EQ(ts.buckets().size(), 3u);
-  EXPECT_EQ(ts.buckets()[0], 2u);
-  EXPECT_EQ(ts.buckets()[1], 1u);
-  EXPECT_EQ(ts.buckets()[2], 5u);
-  EXPECT_EQ(ts.sum_between(0, 10), 2u);
-  EXPECT_EQ(ts.sum_between(0, 30), 8u);
-  EXPECT_EQ(ts.sum_between(10, 20), 1u);
 }
 
 TEST(Metrics, SummaryStatistics) {

@@ -193,24 +193,6 @@ TEST(KvReplication, ConcurrentSubmissionsConvergeEvenIfReordered) {
   }
 }
 
-TEST(KvReplication, FifoSessionModePreservesClientOrder) {
-  // With the FIFO session option, one command is outstanding at a time, so
-  // a client's appends apply in submission order despite non-FIFO links.
-  KvReplicaConfig rc;
-  rc.fifo_client_order = true;
-  Cluster c(3, 3, timely(), rc);
-  c.sim.schedule(1 * kSecond, [&]() {
-    for (int i = 0; i < 10; ++i) {
-      c.replicas[2]->submit(KvOp::kAppend, "seq", std::to_string(i));
-    }
-  });
-  c.sim.start();
-  c.sim.run_until(60 * kSecond);
-  auto it = c.replicas[0]->store().data().find("seq");
-  ASSERT_NE(it, c.replicas[0]->store().data().end());
-  EXPECT_EQ(it->second, "0123456789");
-}
-
 TEST(KvReplication, SurvivesLeaderCrashWithExactlyOnceApply) {
   SystemSParams params;
   params.sources = {2};
