@@ -262,7 +262,6 @@ void BM_ClientRequestWrapPooled(benchmark::State& state) {
   const Bytes encoded_batch = batch.encode();
   ClientRequestMsg req;
   req.seq = 9;
-  req.ack_upto = 8;
   req.command = WireBlob::ref(encoded_batch);
   (void)wire::encode_pooled(pool, req);  // warm
   const auto before = g_new_calls.load(std::memory_order_relaxed);

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 namespace lls::bench {
 
 /// printf into a std::string.
@@ -164,6 +166,36 @@ inline bool write_json_file(const std::string& path, const Json& json) {
   std::fputc('\n', f);
   std::fclose(f);
   return true;
+}
+
+/// The git revision of the source tree at `source_dir` (`git describe
+/// --always --dirty`), or "unknown" outside a checkout.
+inline std::string git_revision(const std::string& source_dir) {
+  const std::string cmd = "git -C '" + source_dir +
+                          "' describe --always --dirty --abbrev=12 2>/dev/null";
+  std::FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return "unknown";
+  char buf[128] = {};
+  const bool got = std::fgets(buf, sizeof(buf), pipe) != nullptr;
+  pclose(pipe);
+  std::string rev = got ? buf : "";
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
+    rev.pop_back();
+  }
+  return rev.empty() ? "unknown" : rev;
+}
+
+/// Stamps the machine a result was measured on, as perfbench's `host` line
+/// does: online cores, the build type and the source revision. Call inside
+/// an object; it adds one "machine" member.
+inline void machine_stamp(Json& json, const std::string& build_type,
+                          const std::string& source_dir) {
+  json.key("machine").begin_object();
+  json.key("nproc").value(
+      static_cast<std::int64_t>(sysconf(_SC_NPROCESSORS_ONLN)));
+  json.key("build_type").value(build_type);
+  json.key("git_sha").value(git_revision(source_dir));
+  json.end_object();
 }
 
 }  // namespace lls::bench

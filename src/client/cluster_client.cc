@@ -61,7 +61,6 @@ std::uint64_t ClusterClient::enqueue_command(Command cmd, Callback cb) {
   f.cmd = std::move(cmd);
   f.cmd.origin = self_;
   f.cmd.seq = session_.next_seq();
-  f.encoded = f.cmd.encode();
   f.shard = map_.shard_of(f.cmd.key);
   f.cb = std::move(cb);
   f.invoked = rt_->now();
@@ -72,9 +71,17 @@ std::uint64_t ClusterClient::enqueue_command(Command cmd, Callback cb) {
 }
 
 void ClusterClient::pump(Runtime& rt) {
-  while (inflight_.size() < config_.window && !queue_.empty()) {
+  // The window bounds the seq span above the ack watermark, not only the
+  // requests in flight: one stuck seq then holds the session still, so a
+  // replica never keeps more than `window` results or dedup seqs for it.
+  while (!queue_.empty() &&
+         queue_.front().cmd.seq <= session_.ack_upto() + config_.window) {
     InFlight f = std::move(queue_.front());
     queue_.pop_front();
+    // The watermark is stamped once, at the first send: every retry carries
+    // the same bytes, so each placement of the command prunes alike.
+    f.cmd.ack_upto = session_.ack_upto();
+    f.encoded = f.cmd.encode();
     auto [it, inserted] = inflight_.emplace(f.cmd.seq, std::move(f));
     (void)inserted;
     mark_for_send(rt, it->second);
@@ -104,7 +111,6 @@ void ClusterClient::note_attempt(Runtime& rt, InFlight& f) {
 void ClusterClient::send_attempt(Runtime& rt, InFlight& f) {
   ClientRequestMsg req;
   req.seq = f.cmd.seq;
-  req.ack_upto = session_.ack_upto();
   // Borrow the cached encoding (stable across retries) and frame it in a
   // pooled buffer: a retry allocates nothing.
   req.command = WireBlob::ref(f.encoded);
@@ -130,7 +136,6 @@ void ClusterClient::flush_sends(Runtime& rt) {
       InFlight& f = *requests.front();
       ClientRequestMsg req;
       req.seq = f.cmd.seq;
-      req.ack_upto = session_.ack_upto();
       req.command = WireBlob::ref(f.encoded);
       rt.send(dst, msg_type::kClientRequest,
               wire::encode_pooled(rt.pool(), req).view());
@@ -141,7 +146,6 @@ void ClusterClient::flush_sends(Runtime& rt) {
     // retries packed into one frame would exceed what the transport can
     // carry and be lost on every attempt, so it leaves in several.
     ClientRequestBatchMsg batch;
-    batch.ack_upto = session_.ack_upto();
     const std::size_t header = wire::measure(batch);
     std::size_t size = header;
     auto send_batch = [&]() {
@@ -216,7 +220,7 @@ void ClusterClient::on_timer(Runtime& rt, TimerId timer) {
     InFlight& f = it->second;
     if (config_.request_deadline > 0 &&
         now - f.invoked >= config_.request_deadline) {
-      complete(rt, seq, nullptr);
+      complete(rt, seq, Outcome::kTimedOut);
       continue;
     }
     ++since_progress_;
@@ -240,6 +244,10 @@ void ClusterClient::on_message(Runtime& rt, ProcessId src, MessageType type,
     case msg_type::kClientBusy:
       handle_busy(rt, ClientBusyMsg::decode(payload));
       return;
+    case msg_type::kClientExpired:
+      since_progress_ = 0;
+      complete(rt, ClientExpiredMsg::decode(payload).seq, Outcome::kExpired);
+      return;
     default:
       return;
   }
@@ -247,7 +255,7 @@ void ClusterClient::on_message(Runtime& rt, ProcessId src, MessageType type,
 
 void ClusterClient::handle_reply(Runtime& rt, const ClientReplyMsg& msg) {
   since_progress_ = 0;
-  complete(rt, msg.seq, &msg);
+  complete(rt, msg.seq, Outcome::kReply, &msg);
 }
 
 void ClusterClient::handle_redirect(Runtime& rt, const ClientRedirectMsg& msg) {
@@ -288,7 +296,7 @@ void ClusterClient::handle_busy(Runtime& rt, const ClientBusyMsg& msg) {
   bump_backoff(rt, it->second);
 }
 
-void ClusterClient::complete(Runtime& rt, std::uint64_t seq,
+void ClusterClient::complete(Runtime& rt, std::uint64_t seq, Outcome outcome,
                              const ClientReplyMsg* reply) {
   auto it = inflight_.find(seq);
   if (it == inflight_.end()) return;  // duplicate reply for a finished request
@@ -301,14 +309,21 @@ void ClusterClient::complete(Runtime& rt, std::uint64_t seq,
   done.invoked = f.invoked;
   done.completed = rt.now();
   done.attempts = f.attempts;
-  if (reply != nullptr) {
-    ++acked_;
-    done.result.ok = reply->ok;
-    done.result.found = reply->found;
-    done.result.value = reply->value;
-  } else {
-    ++timed_out_;
-    done.timed_out = true;
+  switch (outcome) {
+    case Outcome::kReply:
+      ++acked_;
+      done.result.ok = reply->ok;
+      done.result.found = reply->found;
+      done.result.value = reply->value;
+      break;
+    case Outcome::kExpired:
+      ++expired_;
+      done.expired = true;
+      break;
+    case Outcome::kTimedOut:
+      ++timed_out_;
+      done.timed_out = true;
+      break;
   }
   if (f.cb) f.cb(done);
   pump(rt);

@@ -15,8 +15,10 @@
 //  * exactly-once — sequence numbers come from ClientSession and ride the
 //    replica layer's (origin, seq) dedup, so retries never double-apply,
 //    and replicas cache results to re-answer retried-but-already-applied
-//    requests;
-//  * flow control — at most `window` requests are in flight; BUSY replies
+//    requests (EXPIRED when the cached result is gone); each command
+//    carries the session's ack watermark, stamped at its first send;
+//  * flow control — seqs are sent only within `window` of the ack
+//    watermark, so at most `window` requests are in flight; BUSY replies
 //    (admission queue over the leader's high-water mark) push the client
 //    into backoff without burning a retry against a healthy leader;
 //  * coalescing — sends are deferred to a zero-delay flush and packed per
@@ -50,7 +52,11 @@ struct ClusterClientConfig {
   /// Replicas occupy process ids [0, cluster_n); required.
   int cluster_n = 0;
 
-  /// Maximum requests in flight; further submissions queue locally.
+  /// Maximum seq span in flight: a request is sent only while its seq is
+  /// at most `window` above the session's ack watermark, so at most
+  /// `window` requests are in flight and each replica holds at most
+  /// `window` results and dedup seqs for the session. Further submissions
+  /// queue locally.
   std::size_t window = 8;
 
   /// How long one attempt waits for a reply before retransmitting.
@@ -88,10 +94,15 @@ struct ClusterClientConfig {
 struct ClientCompletion {
   Command cmd;
   bool timed_out = false;  ///< deadline expired before a reply arrived
-  KvResult result;         ///< meaningful when !timed_out
+  /// The cluster answered EXPIRED: the command was applied once, but its
+  /// result was evicted before a retry reached the log.
+  bool expired = false;
+  KvResult result;         ///< meaningful when has_result()
   TimePoint invoked = 0;
   TimePoint completed = 0;
   int attempts = 0;
+
+  [[nodiscard]] bool has_result() const { return !timed_out && !expired; }
 };
 
 class ClusterClient final : public Actor {
@@ -131,6 +142,7 @@ class ClusterClient final : public Actor {
   [[nodiscard]] std::size_t queued() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t acked() const { return acked_; }
   [[nodiscard]] std::uint64_t timed_out() const { return timed_out_; }
+  [[nodiscard]] std::uint64_t expired() const { return expired_; }
   [[nodiscard]] std::uint64_t retries() const { return retries_; }
   [[nodiscard]] std::uint64_t redirects() const { return redirects_; }
   [[nodiscard]] std::uint64_t busy_replies() const { return busy_; }
@@ -167,7 +179,10 @@ class ClusterClient final : public Actor {
   void resend_all(Runtime& rt);
   void rotate_targets();
   void bump_backoff(Runtime& rt, InFlight& f);
-  void complete(Runtime& rt, std::uint64_t seq, const ClientReplyMsg* reply);
+  enum class Outcome : std::uint8_t { kReply, kExpired, kTimedOut };
+  /// `reply` is set for kReply only.
+  void complete(Runtime& rt, std::uint64_t seq, Outcome outcome,
+                const ClientReplyMsg* reply = nullptr);
   void arm_tick(Runtime& rt);
 
   void handle_reply(Runtime& rt, const ClientReplyMsg& msg);
@@ -194,6 +209,7 @@ class ClusterClient final : public Actor {
 
   std::uint64_t acked_ = 0;
   std::uint64_t timed_out_ = 0;
+  std::uint64_t expired_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t redirects_ = 0;
   std::uint64_t busy_ = 0;

@@ -171,7 +171,7 @@ LoadgenResult run_sim_loadgen(const LoadgenConfig& config) {
     auto hist_id = hist.is_open() ? std::make_shared<std::uint64_t>(0)
                                   : std::shared_ptr<std::uint64_t>();
     auto cb = [&, submit_one, ci, token, hist_id](const ClientCompletion& done) {
-      if (!done.timed_out) {
+      if (done.has_result()) {
         if (hist_id) hist.respond(*hist_id, done.completed, done.result);
         if (done.invoked >= measure_from && done.invoked < load_end) {
           ++measured_acked;
@@ -282,6 +282,7 @@ LoadgenResult run_sim_loadgen(const LoadgenConfig& config) {
     result.submitted += c->session().issued();
     result.acked += c->acked();
     result.timed_out += c->timed_out();
+    result.expired += c->expired();
     result.retries += c->retries();
     result.redirects += c->redirects();
     result.busy_replies += c->busy_replies();
@@ -401,7 +402,9 @@ LoadgenResult run_sim_loadgen(const LoadgenConfig& config) {
     for (ProcessId p = 0; p < static_cast<ProcessId>(config.cluster_n); ++p) {
       if (sim.alive(p)) alive.push_back(stores_of(p, *replicas[p]));
     }
-    for (const StoreFindings& found : audit_stores(alive, &acked_tokens)) {
+    const std::size_t session_bound = kSessionEntriesPerWindow * cc.window;
+    for (const StoreFindings& found :
+         audit_stores(alive, &acked_tokens, session_bound)) {
       const std::string at = "replica " + std::to_string(found.process);
       for (std::size_t g : found.diverged) {
         fail(at + " shard " + std::to_string(g) +
@@ -416,6 +419,12 @@ LoadgenResult run_sim_loadgen(const LoadgenConfig& config) {
       }
       for (const std::string& token : found.lost) {
         fail(at + ": acked token " + token + " missing (lost write)");
+      }
+      for (const auto& [g, s] : found.oversized) {
+        fail(at + " shard " + std::to_string(g) + ": client session " +
+             std::to_string(s.origin) + " holds " +
+             std::to_string(s.dedup + s.results) + " entries (bound " +
+             std::to_string(session_bound) + ")");
       }
     }
     if (alive.empty()) fail("no alive replica to audit");

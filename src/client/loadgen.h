@@ -102,6 +102,8 @@ struct LoadgenResult {
   std::uint64_t submitted = 0;
   std::uint64_t acked = 0;
   std::uint64_t timed_out = 0;
+  /// Completed EXPIRED: applied, but the result was evicted first.
+  std::uint64_t expired = 0;
   std::uint64_t retries = 0;
   std::uint64_t redirects = 0;
   std::uint64_t busy_replies = 0;

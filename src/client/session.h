@@ -7,7 +7,7 @@
 // timeouts, redirects and leader failover — it is applied to the state
 // machine at most once, and the submission protocol makes it at least once.
 // The session also tracks the contiguous-completion watermark (`ack_upto`)
-// that requests piggyback so replicas can prune their reply caches.
+// that commands carry so replicas prune their dedup state and reply caches.
 #pragma once
 
 #include <cstdint>

@@ -68,6 +68,9 @@ inline constexpr MessageType kClientBusy = 0x0313;
 /// Client -> replica: several command submissions coalesced into one
 /// message (all bound for the same destination; see ClusterClient).
 inline constexpr MessageType kClientRequestBatch = 0x0314;
+/// Replica -> client: the command was applied, but its cached result is
+/// gone (EXPIRED); the client completes it without a result.
+inline constexpr MessageType kClientExpired = 0x0315;
 }  // namespace msg_type
 
 /// One client command in flight. `command` is an rsm Command::encode() blob —
@@ -77,15 +80,12 @@ inline constexpr MessageType kClientRequestBatch = 0x0314;
 /// impersonate another session.
 struct ClientRequestMsg {
   std::uint64_t seq = 0;
-  /// All of this client's sequence numbers <= ack_upto have completed; the
-  /// replica may drop its cached results for them (retry can never ask).
-  std::uint64_t ack_upto = 0;
   /// WireBlob: the client borrows its cached encoded command when sending
   /// (no copy per attempt) and the replica decodes a borrow into the
   /// receive buffer (no copy per delivery). See common/blob.h.
   WireBlob command;
 
-  LLS_WIRE_FIELDS(ClientRequestMsg, seq, ack_upto, command)
+  LLS_WIRE_FIELDS(ClientRequestMsg, seq, command)
 };
 
 /// Result of one applied command (mirrors rsm KvResult field-for-field so
@@ -117,10 +117,8 @@ struct ClientRedirectMsg {
 /// back-to-back — each item is admitted/answered independently — but the
 /// receiving replica may coalesce the newly admitted commands into a single
 /// consensus proposal, collapsing the per-command Θ(n) instance cost (the
-/// unbatched hot path measured by bench_a5_batching). `ack_upto` is shared:
-/// it is a property of the session, not of any one request.
+/// unbatched hot path measured by bench_a5_batching).
 struct ClientRequestBatchMsg {
-  std::uint64_t ack_upto = 0;
   struct Item {
     std::uint64_t seq = 0;
     WireBlob command;
@@ -129,7 +127,16 @@ struct ClientRequestBatchMsg {
   };
   std::vector<Item> items;
 
-  LLS_WIRE_FIELDS(ClientRequestBatchMsg, ack_upto, items)
+  LLS_WIRE_FIELDS(ClientRequestBatchMsg, items)
+};
+
+/// EXPIRED: a retry reached the log after the command's first placement was
+/// applied and its cached result evicted. The effect happened once; only
+/// the result is lost.
+struct ClientExpiredMsg {
+  std::uint64_t seq = 0;
+
+  LLS_WIRE_FIELDS(ClientExpiredMsg, seq)
 };
 
 /// Backpressure: the leader's admission queue is over its high-water mark.

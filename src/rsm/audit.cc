@@ -8,7 +8,7 @@ namespace lls {
 
 std::vector<StoreFindings> audit_stores(
     const std::vector<ReplicaStores>& replicas,
-    const std::vector<std::string>* acked_tokens) {
+    const std::vector<std::string>* acked_tokens, std::size_t session_bound) {
   std::vector<StoreFindings> out;
   std::vector<std::uint64_t> reference;  // the first replica's group digests
   for (const ReplicaStores& replica : replicas) {
@@ -20,6 +20,14 @@ std::vector<StoreFindings> audit_stores(
         reference.push_back(digest);
       } else if (digest != reference[g]) {
         found.diverged.push_back(g);
+      }
+    }
+    for (std::size_t g = 0; session_bound > 0 && g < replica.sessions.size();
+         ++g) {
+      for (const KvCore::SessionFootprint& s : replica.sessions[g]) {
+        if (s.dedup + s.results > session_bound) {
+          found.oversized.emplace_back(g, s);
+        }
       }
     }
     if (acked_tokens == nullptr) continue;

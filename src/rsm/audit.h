@@ -12,6 +12,7 @@
 
 #include "common/types.h"
 #include "rsm/command.h"
+#include "rsm/kv_core.h"
 #include "rsm/kv_store.h"
 #include "rsm/linearizability.h"
 
@@ -21,18 +22,26 @@ namespace lls {
 struct ReplicaStores {
   ProcessId process = kNoProcess;
   std::vector<const KvStore*> groups;
+  /// Per group, the client sessions' server-side footprints (may be empty).
+  std::vector<std::vector<KvCore::SessionFootprint>> sessions = {};
 };
 
 /// The group stores of `replica` (any replica type with shards() and
-/// group(g).store(): KvReplica, CrKvReplica).
+/// group(g): KvReplica, CrKvReplica), with their session footprints.
 template <typename Replica>
 [[nodiscard]] ReplicaStores stores_of(ProcessId p, const Replica& replica) {
-  ReplicaStores out{p, {}};
+  ReplicaStores out{p, {}, {}};
   for (int g = 0; g < replica.shards(); ++g) {
     out.groups.push_back(&replica.group(g).store());
+    out.sessions.push_back(replica.group(g).session_footprints());
   }
   return out;
 }
+
+/// Entries a replica group may hold per client session, per unit of the
+/// client's window: the window bounds the seq span above the session's ack
+/// watermark, so at most `window` dedup seqs and `window` cached results.
+inline constexpr std::size_t kSessionEntriesPerWindow = 2;
 
 /// What the audit found at one replica.
 struct StoreFindings {
@@ -46,6 +55,10 @@ struct StoreFindings {
   std::vector<std::pair<std::string, int>> duplicates;
   /// Acked tokens the replica does not hold, in ack order.
   std::vector<std::string> lost;
+  /// Session bound only. (group, footprint) of each client session holding
+  /// more dedup seqs plus cached results than the bound, in group and
+  /// origin order.
+  std::vector<std::pair<std::size_t, KvCore::SessionFootprint>> oversized;
 };
 
 /// Audits the stores of the alive replicas, given in process order; one
@@ -54,10 +67,14 @@ struct StoreFindings {
 /// independently). With `acked_tokens`, also takes each replica's token
 /// census over its groups merged: in token workloads every write appends
 /// one unique ';'-terminated token, so a token counted twice was applied
-/// twice and an acked token counted zero times was lost.
+/// twice and an acked token counted zero times was lost. A nonzero
+/// `session_bound` also bounds each client session's state per group: the
+/// memory a replica spends on a session must follow the client's window
+/// (a small multiple of it), not the session's history.
 [[nodiscard]] std::vector<StoreFindings> audit_stores(
     const std::vector<ReplicaStores>& replicas,
-    const std::vector<std::string>* acked_tokens = nullptr);
+    const std::vector<std::string>* acked_tokens = nullptr,
+    std::size_t session_bound = 0);
 
 /// Files a linearizability report under a run's outcome.
 /// kNotLinearizable adds one violation: `<history> is not linearizable:

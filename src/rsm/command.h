@@ -5,7 +5,9 @@
 // byte-unique — required by LogConsensus's pending-queue completion
 // matching — and (b) lets replicas deduplicate: consensus guarantees
 // at-least-once placement across leader changes, the RSM turns that into
-// exactly-once application.
+// exactly-once application. The origin's completion watermark (`ack_upto`)
+// rides in the same ordered bytes, so every replica prunes its dedup state
+// at the same point of the log.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +40,14 @@ struct Command {
   /// falls back to the ordered path unchanged. Commands that mutate must
   /// never set this.
   bool read_only = false;
+  /// Every seq of `origin` at or below this has completed at its submitter
+  /// (replied to, or given up on). Stamped once, at the first send, so every
+  /// copy of a command carries the same value; replicas raise their dedup
+  /// watermark to it at apply and forget what lies below (DESIGN.md §10).
+  std::uint64_t ack_upto = 0;
 
-  LLS_WIRE_FIELDS(Command, origin, seq, op, key, value, expected, read_only)
+  LLS_WIRE_FIELDS(Command, origin, seq, op, key, value, expected, read_only,
+                  ack_upto)
 };
 
 struct KvResult {

@@ -10,7 +10,8 @@ namespace lls {
 
 namespace {
 /// Per-session cap on cached results kept for reply resends beyond the
-/// client's acked watermark (memory bound for sessions that never ack).
+/// client's acked watermark (memory bound for sessions that never ack). A
+/// retry whose result was evicted gets EXPIRED.
 constexpr std::size_t kResultsCap = 4096;
 
 Bytes encode_single_command(const Command& cmd) {
@@ -83,6 +84,10 @@ std::uint64_t KvCore::submit(KvOp op, std::string key, std::string value,
                              std::string expected, Callback cb) {
   if (!seq_initialized_) {
     next_seq_ = initial_seq_ ? initial_seq_() : 1;
+    // A fresh incarnation's first command acks every seq below its own:
+    // the earlier incarnations' submitters died with them, so a stranded
+    // proposal of theirs that is decided later is dropped everywhere alike.
+    local_acked_ = next_seq_ - 1;
     seq_initialized_ = true;
   }
   if (config_.lease_reads && op == KvOp::kGet) {
@@ -95,6 +100,7 @@ std::uint64_t KvCore::submit(KvOp op, std::string key, std::string value,
       ++reads_local_;
       if (reads_local_ctr_ != nullptr) reads_local_ctr_->inc();
       std::uint64_t seq = next_seq_++;
+      local_done(seq);
       KvResult result = local_read(key);
       if (cb) cb(result);
       return seq;
@@ -110,6 +116,7 @@ std::uint64_t KvCore::submit(KvOp op, std::string key, std::string value,
   cmd.value = std::move(value);
   cmd.expected = std::move(expected);
   cmd.read_only = config_.lease_reads && op == KvOp::kGet;
+  cmd.ack_upto = local_acked_;
   if (cb) callbacks_[cmd.seq] = std::move(cb);
   enqueue_for_consensus(std::move(cmd));
   return next_seq_ - 1;
@@ -156,7 +163,6 @@ void KvCore::flush_batch() {
 
 std::optional<Command> KvCore::admit_one(Runtime& rt, ProcessId src,
                                          std::uint64_t seq,
-                                         std::uint64_t ack_upto,
                                          BytesView command_blob) {
   Command cmd = Command::decode(command_blob);
   if (cmd.origin != src || cmd.seq != seq || seq == 0) {
@@ -174,14 +180,6 @@ std::optional<Command> KvCore::admit_one(Runtime& rt, ProcessId src,
   }
 
   ClientSessionSrv& sess = clients_[src];
-  if (ack_upto > sess.ack_upto) {
-    // The client completed everything up to ack_upto: it can never retry
-    // those seqs, so their cached results are dead weight.
-    sess.ack_upto = ack_upto;
-    sess.results.erase(sess.results.begin(),
-                       sess.results.upper_bound(sess.ack_upto));
-  }
-
   auto hit = sess.results.find(seq);
   if (hit != sess.results.end()) {
     // Applied already (possibly admitted by a previous leader): re-answer
@@ -243,7 +241,7 @@ void KvCore::handle_client_request(Runtime& rt, ProcessId src,
                                    BytesView payload) {
   if (!is_client(src)) return;  // replicas do not speak the client protocol
   ClientRequestMsg req = ClientRequestMsg::decode(payload);
-  auto cmd = admit_one(rt, src, req.seq, req.ack_upto, req.command.view());
+  auto cmd = admit_one(rt, src, req.seq, req.command.view());
   if (cmd.has_value()) enqueue_for_consensus(std::move(*cmd));
 }
 
@@ -254,7 +252,7 @@ void KvCore::handle_client_batch(Runtime& rt, ProcessId src,
   std::vector<Command> fresh;
   fresh.reserve(req.items.size());
   for (const auto& item : req.items) {
-    auto cmd = admit_one(rt, src, item.seq, req.ack_upto, item.command.view());
+    auto cmd = admit_one(rt, src, item.seq, item.command.view());
     if (cmd.has_value()) fresh.push_back(std::move(*cmd));
   }
   enqueue_commands(std::move(fresh));
@@ -291,6 +289,53 @@ void KvCore::send_reply(ProcessId client, std::uint64_t seq,
     rt_->obs().bus().publish(e);
   }
   rt_->send(client, msg_type::kClientReply, encoded.view());
+}
+
+void KvCore::send_expired(ProcessId client, std::uint64_t seq) {
+  ++expired_sent_;
+  rt_->send(client, msg_type::kClientExpired,
+            wire::encode_pooled(rt_->pool(), ClientExpiredMsg{seq}).view());
+}
+
+void KvCore::local_done(std::uint64_t seq) {
+  // A replayed decision of an earlier incarnation precedes this one's
+  // first submit: nothing of it is owed a watermark here.
+  if (!seq_initialized_ || seq <= local_acked_) return;
+  local_done_.insert(seq);
+  while (!local_done_.empty() && *local_done_.begin() == local_acked_ + 1) {
+    local_done_.erase(local_done_.begin());
+    ++local_acked_;
+  }
+}
+
+bool KvCore::AppliedSeqs::contains(std::uint64_t seq) const {
+  return seq <= upto || std::binary_search(above.begin(), above.end(), seq);
+}
+
+void KvCore::AppliedSeqs::insert(std::uint64_t seq) {
+  // Seqs mostly arrive in order: the append is the common case.
+  above.insert(std::upper_bound(above.begin(), above.end(), seq), seq);
+}
+
+void KvCore::AppliedSeqs::raise(std::uint64_t ack) {
+  if (ack <= upto) return;
+  upto = ack;
+  above.erase(above.begin(), std::upper_bound(above.begin(), above.end(), ack));
+}
+
+std::vector<KvCore::SessionFootprint> KvCore::session_footprints() const {
+  std::vector<SessionFootprint> out;
+  out.reserve(clients_.size());
+  for (const auto& [origin, sess] : clients_) {
+    auto seen = applied_.find(origin);
+    out.push_back({origin, seen == applied_.end() ? 0 : seen->second.above.size(),
+                   sess.results.size()});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const SessionFootprint& a, const SessionFootprint& b) {
+              return a.origin < b.origin;
+            });
+  return out;
 }
 
 void KvCore::on_decided(Instance i, BytesView value) {
@@ -330,15 +375,13 @@ void KvCore::persist_snapshot(Runtime& rt) const {
     snap.data.push_back(
         {WireBlob::ref(bytes_of(key)), WireBlob::ref(bytes_of(value))});
   }
-  // The dedup sets are part of the state machine: without them, a command
+  // The dedup state is part of the state machine: without it, a command
   // decided below the snapshot AND re-decided above it (leader-change
-  // at-least-once) would re-apply after recovery. Sorted for determinism.
+  // at-least-once) would re-apply after recovery. Its size follows the
+  // origins' windows, not the history.
   snap.dedup.reserve(applied_.size());
-  for (const auto& [origin, seqs] : applied_) {
-    SnapshotDedup& d = snap.dedup.emplace_back();
-    d.origin = origin;
-    d.seqs.assign(seqs.begin(), seqs.end());
-    std::sort(d.seqs.begin(), d.seqs.end());
+  for (const auto& [origin, seen] : applied_) {
+    snap.dedup.push_back({origin, seen.above, seen.upto});
   }
   std::sort(snap.dedup.begin(), snap.dedup.end(),
             [](const SnapshotDedup& a, const SnapshotDedup& b) {
@@ -361,20 +404,36 @@ void KvCore::restore_snapshot(Runtime& rt) {
   }
   store_.restore(std::move(data), snap.store_applied);
   for (const SnapshotDedup& d : snap.dedup) {
-    applied_[d.origin].insert(d.seqs.begin(), d.seqs.end());
+    applied_[d.origin] = {d.upto, d.seqs};
   }
 }
 
 void KvCore::apply_command(const Command& cmd) {
-  if (!applied_[cmd.origin].insert(cmd.seq).second) {
+  // Every replica prunes here, at the same log position: a command carrying
+  // ack_upto >= s is decided after s's first placement was applied (the
+  // origin saw s done first), so below the watermark means "applied".
+  AppliedSeqs& seen = applied_[cmd.origin];
+  const bool duplicate = seen.contains(cmd.seq);
+  if (!duplicate) seen.insert(cmd.seq);
+  seen.raise(cmd.ack_upto);
+  ClientSessionSrv* sess = nullptr;
+  if (is_client(cmd.origin)) {
+    sess = &clients_[cmd.origin];
+    if (cmd.ack_upto > sess->ack_upto) {
+      // The client can never retry these seqs: their results are dead.
+      sess->ack_upto = cmd.ack_upto;
+      sess->results.erase(sess->results.begin(),
+                          sess->results.upper_bound(sess->ack_upto));
+    }
+  }
+  if (duplicate) {
     ++duplicates_;
-    // A duplicate instance of a command this replica also admitted: the
-    // first instance already answered, so only release the window slot.
-    if (is_client(cmd.origin)) {
-      auto it = clients_.find(cmd.origin);
-      if (it != clients_.end() && it->second.admitted.erase(cmd.seq) > 0) {
-        --admitted_inflight_;
-      }
+    // A seq this replica admitted was already applied when it was
+    // admitted, and no cached result answered the retry then: the result
+    // is gone. Say so, or the client retries it forever.
+    if (sess != nullptr && sess->admitted.erase(cmd.seq) > 0) {
+      --admitted_inflight_;
+      send_expired(cmd.origin, cmd.seq);
     }
     return;  // at-least-once from consensus -> exactly-once here
   }
@@ -388,21 +447,21 @@ void KvCore::apply_command(const Command& cmd) {
     e.a = cmd.seq;
     rt_->obs().bus().publish(e);
   }
-  if (is_client(cmd.origin)) {
-    ClientSessionSrv& sess = clients_[cmd.origin];
-    if (cmd.seq > sess.ack_upto) {
-      sess.results[cmd.seq] = result;
-      if (sess.results.size() > kResultsCap) {
-        sess.results.erase(sess.results.begin());
+  if (sess != nullptr) {
+    if (cmd.seq > sess->ack_upto) {
+      sess->results[cmd.seq] = result;
+      if (sess->results.size() > kResultsCap) {
+        sess->results.erase(sess->results.begin());
       }
     }
-    if (sess.admitted.erase(cmd.seq) > 0) {
+    if (sess->admitted.erase(cmd.seq) > 0) {
       --admitted_inflight_;
       send_reply(cmd.origin, cmd.seq, result);
     }
     return;
   }
   if (cmd.origin == self_) {
+    local_done(cmd.seq);
     auto it = callbacks_.find(cmd.seq);
     if (it != callbacks_.end()) {
       Callback cb = std::move(it->second);

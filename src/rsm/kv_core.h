@@ -12,7 +12,9 @@
 // Consensus guarantees at-least-once placement of a submitted command (it
 // may appear in two instances across a leader change); the core's
 // (origin, seq) dedup turns that into exactly-once application, so all
-// replicas' stores converge byte-for-byte.
+// replicas' stores converge byte-for-byte. The dedup state is itself a
+// function of the log: each command carries its origin's ack watermark,
+// and every replica prunes at the same apply (DESIGN.md §10).
 #pragma once
 
 #include <functional>
@@ -20,7 +22,6 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "consensus/log_consensus.h"
@@ -39,12 +40,14 @@ struct SnapshotEntry {
   LLS_WIRE_FIELDS(SnapshotEntry, key, value)
 };
 
-/// One origin's applied command seqs (its dedup set), sorted.
+/// One origin's dedup state: `seqs` lists the applied seqs above `upto`,
+/// sorted, and every seq at or below `upto` is done.
 struct SnapshotDedup {
   ProcessId origin = kNoProcess;
   std::vector<std::uint64_t> seqs;
+  std::uint64_t upto = 0;
 
-  LLS_WIRE_FIELDS(SnapshotDedup, origin, seqs)
+  LLS_WIRE_FIELDS(SnapshotDedup, origin, seqs, upto)
 };
 
 /// The state-machine snapshot a durable core persists before compacting
@@ -184,6 +187,18 @@ class KvCore final : public Actor {
   /// Read-only commands that fell back to the ordered (consensus) path
   /// because the lease did not hold at service time.
   [[nodiscard]] std::uint64_t reads_ordered() const { return reads_ordered_; }
+  /// Retries answered EXPIRED: applied once, result no longer cached.
+  [[nodiscard]] std::uint64_t expired_sent() const { return expired_sent_; }
+
+  /// Entries this core holds for one client session: dedup seqs above the
+  /// watermark plus cached results (the audit bounds it by the window).
+  struct SessionFootprint {
+    ProcessId origin = kNoProcess;
+    std::size_t dedup = 0;
+    std::size_t results = 0;
+  };
+  /// One footprint per client session this core knows, in origin order.
+  [[nodiscard]] std::vector<SessionFootprint> session_footprints() const;
 
  private:
   /// Per-session server-side state. `results` answers retries of applied
@@ -193,6 +208,19 @@ class KvCore final : public Actor {
     std::uint64_t ack_upto = 0;
     std::map<std::uint64_t, KvResult> results;
     std::set<std::uint64_t> admitted;
+  };
+
+  /// One origin's applied seqs: all of them at or below `upto`, plus the
+  /// sorted `above` (commands of one origin may be decided out of sequence
+  /// order across leader changes, so a plain watermark is not enough).
+  struct AppliedSeqs {
+    std::uint64_t upto = 0;
+    std::vector<std::uint64_t> above;
+
+    [[nodiscard]] bool contains(std::uint64_t seq) const;
+    void insert(std::uint64_t seq);
+    /// Raises the watermark to `ack` and forgets the seqs it now covers.
+    void raise(std::uint64_t ack);
   };
 
   /// The engine's decision sink: applies one decided log entry.
@@ -213,9 +241,12 @@ class KvCore final : public Actor {
   /// hits / redirects / BUSY directly; returns the command only when it was
   /// newly admitted and is owed a consensus placement.
   std::optional<Command> admit_one(Runtime& rt, ProcessId src,
-                                   std::uint64_t seq, std::uint64_t ack_upto,
-                                   BytesView command_blob);
+                                   std::uint64_t seq, BytesView command_blob);
   void send_reply(ProcessId client, std::uint64_t seq, const KvResult& result);
+  void send_expired(ProcessId client, std::uint64_t seq);
+  /// Marks local seq `seq` done (applied here, or answered without
+  /// ordering) and advances local_acked_ over the contiguous prefix.
+  void local_done(std::uint64_t seq);
   /// Executes kGet semantics against the local store without touching any
   /// replication state — the lease fast path's read.
   [[nodiscard]] KvResult local_read(const std::string& key) const;
@@ -246,11 +277,15 @@ class KvCore final : public Actor {
   std::uint64_t next_seq_ = 0;
   bool seq_initialized_ = false;
   std::uint64_t duplicates_ = 0;
-  /// Applied sequences per origin. A plain set rather than a watermark:
-  /// commands of one origin may be decided out of sequence order across
-  /// leader changes (an old leader's stranded proposal can resurface late).
-  std::unordered_map<ProcessId, std::unordered_set<std::uint64_t>> applied_;
+  /// Applied sequences per origin, pruned at apply by each command's
+  /// ack_upto: replicated state, identical on every replica.
+  std::unordered_map<ProcessId, AppliedSeqs> applied_;
   std::map<std::uint64_t, Callback> callbacks_;  // by local seq
+  /// This core's own completion watermark, stamped on its submissions:
+  /// every local seq <= local_acked_ is done, and local_done_ holds the
+  /// done ones above it.
+  std::uint64_t local_acked_ = 0;
+  std::set<std::uint64_t> local_done_;
 
   // Client service.
   std::unordered_map<ProcessId, ClientSessionSrv> clients_;
@@ -259,6 +294,7 @@ class KvCore final : public Actor {
   std::uint64_t redirects_sent_ = 0;
   std::uint64_t client_replies_sent_ = 0;
   std::uint64_t cached_replies_sent_ = 0;
+  std::uint64_t expired_sent_ = 0;
 
   // Lease read path.
   std::uint64_t reads_local_ = 0;

@@ -368,7 +368,6 @@ class BasicReplica final : public Actor {
     }
     for (std::size_t g = 0; g < per_shard.size(); ++g) {
       if (per_shard[g].items.empty()) continue;
-      per_shard[g].ack_upto = req.ack_upto;
       // Items still borrow the original receive buffer (valid until this
       // routing callback returns); the per-group frame is pooled and the
       // dispatch below consumes it synchronously.

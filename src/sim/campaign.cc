@@ -401,9 +401,11 @@ CaseResult run_cr_omega(const CampaignConfig& config, std::uint64_t seed) {
   CrOmegaConfig oc;
   DelayRange delay{500 * kMicrosecond, 2 * kMillisecond};
   if (config.sabotage) {
-    // Links slower than the (non-adaptive) timeout: perpetual premature
-    // suspicion. Timeouts stay eta-scale, so virtual time still advances.
-    delay = {15 * kMillisecond, 25 * kMillisecond};
+    // Link jitter far past the (non-adaptive) timeout: gaps between the
+    // leader's heartbeats keep outlasting it, so followers keep suspecting
+    // the leader and heartbeating themselves. Timeouts stay eta-scale, so
+    // virtual time still advances.
+    delay = {1 * kMillisecond, 100 * kMillisecond};
     oc.timeout_step = 0;
   }
   spec.links = make_all_timely(delay);
@@ -800,7 +802,7 @@ CaseResult run_client_session(const CampaignConfig& config,
       sim.actor_as<ClusterClient>(static_cast<ProcessId>(cluster_n + ci))
           .submit(KvOp::kAppend, "audit" + std::to_string(ci % 2), token, "",
                   [&, token, ci](const ClientCompletion& done) {
-                    if (!done.timed_out) acked_tokens.push_back(token);
+                    if (done.has_result()) acked_tokens.push_back(token);
                     if (sim.now() < submit_end) submit_one(ci);
                   });
     };
@@ -824,10 +826,13 @@ CaseResult run_client_session(const CampaignConfig& config,
             " requests outstanding at horizon");
       }
     }
-    // Exactly-once audit over every alive replica.
+    // Exactly-once audit over every alive replica, with each session's
+    // server state bounded by its window.
     const std::vector<ReplicaStores> replicas =
         alive_stores<KvReplica>(c.sim, cluster_n);
-    for (const StoreFindings& found : audit_stores(replicas, &acked_tokens)) {
+    const std::size_t session_bound = kSessionEntriesPerWindow * cc.window;
+    for (const StoreFindings& found :
+         audit_stores(replicas, &acked_tokens, session_bound)) {
       const std::string at = "replica p" + std::to_string(found.process);
       if (!found.diverged.empty()) {
         violations.push_back(at + " store digest diverges");
@@ -844,6 +849,13 @@ CaseResult run_client_session(const CampaignConfig& config,
       if (!found.lost.empty()) {
         violations.push_back(at + ": acked token " + found.lost.front() +
                              " missing (lost write)");
+      }
+      for (const auto& [g, s] : found.oversized) {
+        violations.push_back(
+            at + " group " + std::to_string(g) + ": client session p" +
+            std::to_string(s.origin) + " holds " + std::to_string(s.dedup) +
+            " dedup seqs + " + std::to_string(s.results) +
+            " cached results (bound " + std::to_string(session_bound) + ")");
       }
     }
     if (replicas.empty()) violations.emplace_back("no alive replica to audit");

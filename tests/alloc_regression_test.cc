@@ -94,7 +94,6 @@ TEST(AllocRegression, PooledEncodeOfClientBatchIsAllocationFreeWhenWarm) {
   const Bytes encoded_batch = batch.encode();
   ClientRequestMsg req;
   req.seq = 9;
-  req.ack_upto = 8;
   req.command = WireBlob::ref(encoded_batch);
   (void)wire::encode_pooled(pool, req);  // warm
 

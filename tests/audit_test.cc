@@ -1,6 +1,6 @@
 // Unit tests for the shared end-of-run KV audit (rsm/audit.h): digest
-// agreement per group, the ';'-token census, the linearizability verdict
-// as a run outcome, and the recorded submit.
+// agreement per group, the ';'-token census, the per-session state bound,
+// the linearizability verdict as a run outcome, and the recorded submit.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -48,6 +48,21 @@ TEST(AuditStores, WithoutAckedTokensTakesNoCensus) {
   const auto findings = audit_stores({replica(0, {&a})});
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_TRUE(findings[0].malformed_keys.empty());
+}
+
+TEST(AuditStores, FlagsASessionOverItsBound) {
+  // A session's dedup seqs plus cached results, per group, against the
+  // bound; sessions within it, and every session when the bound is 0, pass.
+  const KvStore a = store_of({});
+  ReplicaStores r = replica(3, {&a, &a});
+  r.sessions = {{{5, 2, 2}, {6, 3, 2}}, {{5, 0, 1}}};
+  const auto findings = audit_stores({r}, nullptr, 4);
+  ASSERT_EQ(findings.size(), 1u);
+  ASSERT_EQ(findings[0].oversized.size(), 1u);
+  EXPECT_EQ(findings[0].oversized[0].first, 0u);
+  EXPECT_EQ(findings[0].oversized[0].second.origin, 6u);
+  EXPECT_TRUE(audit_stores({r}, nullptr, 5)[0].oversized.empty());
+  EXPECT_TRUE(audit_stores({r})[0].oversized.empty());
 }
 
 TEST(AuditStores, FlagsADuplicatedToken) {

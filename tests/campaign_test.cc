@@ -49,6 +49,19 @@ TEST(Campaign, SabotageIsCaughtWithReplayableSeed) {
   EXPECT_NE(v.replay.find("--seeds=1"), std::string::npos);
 }
 
+TEST(Campaign, SabotageOfEveryOmegaIsCaught) {
+  // Each Omega scenario's sabotage must trip its checks: a sabotage run
+  // that passes would hide a check that can no longer fire.
+  for (Scenario scenario :
+       {Scenario::kCeOmega, Scenario::kAll2AllOmega, Scenario::kCrOmegaStable}) {
+    CampaignConfig config = small(scenario);
+    config.seeds = 2;
+    config.sabotage = true;
+    EXPECT_GE(run_campaign(config).violations.size(), 1u)
+        << scenario_name(scenario);
+  }
+}
+
 TEST(Campaign, RunsAreDeterministic) {
   CampaignConfig config = small(Scenario::kConsensus);
   config.crash_stop_budget = 0;  // exercise the restart-free path too

@@ -293,5 +293,104 @@ TEST(ClientSessionE2E, OversizedBurstIsSplitUnderTheFrameCap) {
   }
 }
 
+/// Drops every reply to one seq on its way into the wrapped client, as if
+/// each were lost on the link.
+class DropRepliesTo final : public Actor {
+ public:
+  DropRepliesTo(std::unique_ptr<Actor> inner, std::uint64_t seq)
+      : inner_(std::move(inner)), seq_(seq) {}
+
+  void on_start(Runtime& rt) override { inner_->on_start(rt); }
+  void on_message(Runtime& rt, ProcessId src, MessageType type,
+                  BytesView payload) override {
+    if (type == msg_type::kClientReply &&
+        ClientReplyMsg::decode(payload).seq == seq_) {
+      ++dropped_;
+      return;
+    }
+    inner_->on_message(rt, src, type, payload);
+  }
+  void on_timer(Runtime& rt, TimerId timer) override {
+    inner_->on_timer(rt, timer);
+  }
+
+  template <typename T>
+  T& inner_as() {
+    return static_cast<T&>(*inner_);
+  }
+  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+
+ private:
+  std::unique_ptr<Actor> inner_;
+  std::uint64_t seq_;
+  std::uint64_t dropped_ = 0;
+};
+
+TEST(ClientSessionE2E, RetryAfterResultEvictionCompletesExpired) {
+  // Every reply to seq 1 is lost, so the client keeps retrying it while
+  // more than kResultsCap (4096) later commands apply and evict its cached
+  // result. The next retry is admitted, ordered and found a duplicate: the
+  // cluster must answer EXPIRED rather than leave the session waiting.
+  constexpr int kClusterN = 3;
+  constexpr std::uint64_t kCommands = 4600;
+  constexpr std::uint64_t kOutstanding = 8;
+  SimConfig sc;
+  sc.n = kClusterN + 1;
+  sc.seed = 23;
+  Simulator sim(sc, make_all_timely({500, 2 * kMillisecond}));
+  KvReplicaConfig rc;
+  rc.cluster_n = kClusterN;
+  std::vector<KvReplica*> replicas;
+  for (ProcessId p = 0; p < kClusterN; ++p) {
+    replicas.push_back(&sim.emplace_actor<KvReplica>(
+        p, KvReplica::Options{.omega = CeOmegaConfig{},
+                              .consensus = LogConsensusConfig{},
+                              .replica = rc}));
+  }
+  ClusterClientConfig cc;
+  cc.cluster_n = kClusterN;
+  cc.window = 2 * kCommands;  // wider than the cache: seq 1 may fall out
+  auto& tap = sim.emplace_actor<DropRepliesTo>(
+      kClusterN, std::make_unique<ClusterClient>(cc), 1);
+  ClusterClient& client = tap.inner_as<ClusterClient>();
+
+  std::uint64_t submitted = 0;
+  std::map<std::uint64_t, ClientCompletion> done;
+  std::function<void()> submit_one = [&]() {
+    ++submitted;
+    client.submit(KvOp::kAppend, "k" + std::to_string(submitted % 4),
+                  std::to_string(submitted) + ";", "",
+                  [&](const ClientCompletion& c) {
+                    done.emplace(c.cmd.seq, c);
+                    if (submitted < kCommands) submit_one();
+                  });
+  };
+  sim.schedule(1 * kSecond, [&]() {
+    for (std::uint64_t i = 0; i < kOutstanding; ++i) submit_one();
+  });
+  sim.start();
+  sim.run_until(40 * kSecond);
+
+  ASSERT_GT(tap.dropped(), 1u);  // the first reply and some cached resends
+  ASSERT_EQ(done.size(), kCommands) << "seq 1 never completed";
+  EXPECT_EQ(client.inflight(), 0u);
+  EXPECT_EQ(client.expired(), 1u);
+  EXPECT_EQ(client.acked(), kCommands - 1);
+  EXPECT_TRUE(done.at(1).expired);
+  EXPECT_FALSE(done.at(1).has_result());
+  std::uint64_t expired_sent = 0;
+  for (KvReplica* r : replicas) {
+    // Seq 1 took effect exactly once, and its retry's placement was
+    // suppressed as a duplicate.
+    EXPECT_EQ(r->store().applied(), kCommands);
+    const std::string k1 = ";" + r->store().data().at("k1");
+    const std::size_t first = k1.find(";1;");
+    EXPECT_NE(first, std::string::npos);
+    EXPECT_EQ(k1.find(";1;", first + 1), std::string::npos);
+    expired_sent += r->group(0).expired_sent();
+  }
+  EXPECT_EQ(expired_sent, 1u);
+}
+
 }  // namespace
 }  // namespace lls

@@ -18,6 +18,7 @@
 #include "consensus/log_consensus.h"
 #include "net/topology.h"
 #include "omega/cr_omega.h"
+#include "rsm/kv_core.h"
 #include "sim/nemesis.h"
 #include "sim/simulator.h"
 #include "testing_util.h"
@@ -630,6 +631,55 @@ TEST(DurableCost, BytesPerDecisionDoNotGrowWithTheCompactionPeriod) {
   const double p2 = bytes_per_decision(100);
   EXPECT_LT(std::max(p, p2), 1.5 * std::min(p, p2)) << p << " vs " << p2;
   EXPECT_LT(std::max(p, p2), 12.0 * kCostValueSize) << p << " vs " << p2;
+}
+
+/// Bytes of the dedup section of the KV snapshot a durable core writes
+/// when it compacts after applying `commands` from one client session
+/// that, like a window-1 client, acks each seq before sending the next.
+std::size_t snapshot_dedup_bytes(std::uint64_t commands) {
+  constexpr ProcessId kClient = 5;
+  NullOmega omega;
+  DurableFakeRuntime rt(/*id=*/1, /*n=*/3);
+  KvCoreOptions opts;
+  opts.omega = &omega;
+  opts.consensus.durable = true;
+  opts.replica.cluster_n = 3;
+  KvCore core(opts);
+  core.on_start(rt);
+  for (std::uint64_t seq = 1; seq <= commands; ++seq) {
+    CommandBatch batch;
+    Command& cmd = batch.commands.emplace_back();
+    cmd.origin = kClient;
+    cmd.seq = seq;
+    cmd.ack_upto = seq - 1;
+    cmd.op = KvOp::kAppend;
+    cmd.key = "k";
+    cmd.value = "x";
+    core.on_message(rt, 0, msg_type::kDecide,
+                    DecideMsg{seq - 1, batch.encode()}.encode());
+  }
+  EXPECT_EQ(core.applied_count(), commands);
+  core.compact_applied();
+  const auto blob = rt.storage_.read("kv_core/snapshot/0");
+  if (!blob.has_value()) {
+    ADD_FAILURE() << "no snapshot written";
+    return 0;
+  }
+  const KvSnapshot snap = KvSnapshot::decode(*blob);
+  EXPECT_EQ(snap.dedup.size(), 1u);
+  std::size_t bytes = 0;
+  for (const SnapshotDedup& d : snap.dedup) bytes += wire::measure(d);
+  return bytes;
+}
+
+TEST(DurableCost, SnapshotDedupDoesNotGrowWithTheSessionHistory) {
+  // A session's dedup state is its watermark plus the seqs applied above
+  // it, so the snapshot's dedup section is the same after 1k commands as
+  // after 8k (one u64 per command ever applied would be 8 KB and 64 KB).
+  const std::size_t small = snapshot_dedup_bytes(1000);
+  const std::size_t large = snapshot_dedup_bytes(8000);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(small, large);
 }
 
 }  // namespace

@@ -15,7 +15,8 @@
 //   * vectors are u32 count + inline elements;
 //   * the lease fields ride at the END of their structs: ts on
 //     Prepare/Accept, echo_ts on Promise/Accepted, read_only on Command —
-//     so every pre-lease prefix of those messages is unchanged.
+//     so every pre-lease prefix of those messages is unchanged; Command's
+//     ack_upto (u64) follows read_only.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -115,24 +116,26 @@ TEST(WireGolden, CommandIncludingReadOnlyFlag) {
   cmd.key = "k";
   cmd.value = "v";
   cmd.expected = "e";
-  expect_golden(
-      cmd, "02000000630000000000000005010000006b0100000076010000006500");
+  cmd.ack_upto = 98;
+  expect_golden(cmd,
+                "02000000630000000000000005010000006b0100000076010000006500"
+                "6200000000000000");
   Command rd;
   rd.origin = 1;
   rd.seq = 7;
   rd.op = KvOp::kGet;
   rd.key = "k";
   rd.read_only = true;
-  expect_golden(
-      rd, "01000000070000000000000002010000006b000000000000000001");
+  expect_golden(rd,
+                "01000000070000000000000002010000006b000000000000000001"
+                "0000000000000000");
 }
 
 TEST(WireGolden, ClientProtocolMessages) {
   ClientRequestMsg req;
   req.seq = 5;
-  req.ack_upto = 4;
   req.command = Bytes{std::byte{0x10}};
-  expect_golden(req, "050000000000000004000000000000000100000010");
+  expect_golden(req, "05000000000000000100000010");
   ClientReplyMsg rep;
   rep.seq = 5;
   rep.ok = true;
@@ -144,16 +147,16 @@ TEST(WireGolden, ClientProtocolMessages) {
   redir.shard = 1;
   expect_golden(redir, "030000000100");
   ClientRequestBatchMsg batch;
-  batch.ack_upto = 2;
   batch.items.push_back({3, Bytes{std::byte{0x20}}});
   batch.items.push_back({4, Bytes{std::byte{0x21}, std::byte{0x22}}});
   expect_golden(batch,
-                "0200000000000000020000000300000000000000010000002004000000"
-                "00000000020000002122");
+                "02000000030000000000000001000000200400000000000000020000"
+                "002122");
   ClientBusyMsg busy;
   busy.seq = 6;
   busy.queue = 17;
   expect_golden(busy, "060000000000000011000000");
+  expect_golden(ClientExpiredMsg{6}, "0600000000000000");
 }
 
 TEST(WireGolden, ShardEnvelope) {
@@ -355,9 +358,9 @@ TEST(WireGolden, CommandBatchOfTwo) {
   batch.commands.push_back(command(3, 4, KvOp::kAppend, "bc", "yz"));
   // u32 count, then per command a u32 frame length + the command.
   expect_encoding(batch,
-                  "020000001c0000000100000002000000000000000101000000610100"
-                  "00007800000000001e0000000300000004000000000000000402000000"
-                  "626302000000797a0000000000");
+                  "0200000024000000010000000200000000000000010100000061010000"
+                  "00780000000000000000000000000026000000030000000400000000"
+                  "0000000402000000626302000000797a00000000000000000000000000");
 }
 
 TEST(WireGolden, AcceptorState) {
@@ -463,6 +466,11 @@ TEST(WireGolden, DurableJournalRecords) {
                 "05000000000000000100000001");
 }
 
+Command acked(Command c, std::uint64_t ack_upto) {
+  c.ack_upto = ack_upto;
+  return c;
+}
+
 Bytes batch_of(std::vector<Command> commands) {
   CommandBatch batch;
   batch.commands = std::move(commands);
@@ -484,21 +492,26 @@ TEST(WireGolden, KvSnapshotTwoKeysTwoOrigins) {
     core.on_message(
         rt, 0, msg_type::kDecide,
         DecideMsg{1, batch_of({command(2, 4, KvOp::kPut, "b", "y"),
-                               command(1, 2, KvOp::kAppend, "a", "z")})}
+                               acked(command(1, 2, KvOp::kAppend, "a", "z"),
+                                     1)})}
             .encode());
     ASSERT_EQ(core.applied_upto(), 2u);
     core.compact_to(2);
   }
   // applied_upto u64, store op count u64, u32 key count + (key, value)
   // strings in key order, u32 origin count + (origin u32, u32 count + u64
-  // seqs) in origin order, seqs sorted.
+  // seqs above the watermark, sorted, then the u64 watermark) in origin
+  // order. Origin 1's second command acked its first: {2} above 1.
   const std::string pin =
       "0200000000000000030000000000000002000000010000006102000000787a0100"
-      "00006201000000790200000001000000020000000100000000000000020000000000"
-      "000002000000010000000400000000000000";
+      "000062010000007902000000"
+      "01000000010000000200000000000000"
+      "0100000000000000"
+      "02000000010000000400000000000000"
+      "0000000000000000";
   EXPECT_EQ(stored_hex(rt, "kv_core/snapshot/0"), pin);
 
-  // The pinned snapshot alone rebuilds the store and the dedup sets.
+  // The pinned snapshot alone rebuilds the store and the dedup state.
   DurableFakeRuntime fresh(/*id=*/2, /*n=*/3);
   fresh.storage_.write("kv_core/snapshot/0", from_hex(pin));
   KvCore recovered(opts);
@@ -508,16 +521,19 @@ TEST(WireGolden, KvSnapshotTwoKeysTwoOrigins) {
   EXPECT_EQ(recovered.store().data(),
             (std::map<std::string, std::string>{{"a", "xz"}, {"b", "y"}}));
   // Instances below the snapshot are skipped; a re-decided command above it
-  // is a duplicate.
+  // is a duplicate, whether it sits above its origin's watermark or below.
   for (Instance i : {0u, 1u}) {
     recovered.on_message(fresh, 0, msg_type::kDecide,
                          DecideMsg{i, Bytes{}}.encode());
   }
   recovered.on_message(
       fresh, 0, msg_type::kDecide,
-      DecideMsg{2, batch_of({command(2, 4, KvOp::kPut, "b", "dup")})}.encode());
-  EXPECT_EQ(recovered.store().data().at("b"), "y");
-  EXPECT_EQ(recovered.duplicates_suppressed(), 1u);
+      DecideMsg{2, batch_of({command(2, 4, KvOp::kPut, "b", "dup"),
+                             command(1, 1, KvOp::kPut, "a", "dup")})}
+          .encode());
+  EXPECT_EQ(recovered.store().data(),
+            (std::map<std::string, std::string>{{"a", "xz"}, {"b", "y"}}));
+  EXPECT_EQ(recovered.duplicates_suppressed(), 2u);
 }
 
 TEST(WireGolden, ExperimentValueIds) {

@@ -200,6 +200,7 @@ void emit_run_json(Json& json, std::size_t batch, const LoadgenResult& r) {
   json.key("submitted").value(r.submitted);
   json.key("acked").value(r.acked);
   json.key("timed_out").value(r.timed_out);
+  json.key("expired").value(r.expired);
   json.key("retries").value(r.retries);
   json.key("redirects").value(r.redirects);
   json.key("busy_replies").value(r.busy_replies);
@@ -275,6 +276,7 @@ int run_sim(const CliOptions& opt) {
   json.begin_object();
   json.key("tool").value("lls_loadgen");
   json.key("host").value("sim");
+  machine_stamp(json, LLS_BUILD_TYPE, LLS_SOURCE_DIR);
   json.key("config").begin_object();
   json.key("n").value(opt.load.cluster_n);
   json.key("clients").value(opt.load.clients);
@@ -522,7 +524,7 @@ UdpRunStats run_udp_once(const CliOptions& opt, int shards,
       auto resubmit = st.submit;
       auto cb = [&st, &stop, &hist, resubmit,
                  hist_id](const ClientCompletion& done) {
-        if (!done.timed_out) {
+        if (done.has_result()) {
           if (hist_id) hist.respond(*hist_id, done.result);
           const double ms =
               static_cast<double>(done.completed - done.invoked) /
@@ -691,6 +693,7 @@ int run_udp(const CliOptions& opt) {
     json.begin_object();
     json.key("tool").value("lls_loadgen");
     json.key("host").value("udp");
+    machine_stamp(json, LLS_BUILD_TYPE, LLS_SOURCE_DIR);
     json.key("config").begin_object();
     json.key("n").value(opt.load.cluster_n);
     json.key("clients").value(opt.load.clients);
