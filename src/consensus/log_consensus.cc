@@ -55,7 +55,9 @@ bool LogState::promise(Round round) {
 }
 
 bool LogState::accept(Round round, Instance i, BytesView value) {
-  if (!acceptor.on_accept(round, i, value)) return false;
+  const bool granted = decided(i) ? acceptor.on_prepare(round)
+                                  : acceptor.on_accept(round, i, value);
+  if (!granted) return false;
   record(LogChange::Kind::kAccept, round, i, value);
   return true;
 }
@@ -63,7 +65,12 @@ bool LogState::accept(Round round, Instance i, BytesView value) {
 void LogState::decide(Instance i, BytesView value) {
   const Instance rel = i - base;
   if (rel >= log.size()) log.resize(rel + 1);
-  log[rel] = Bytes(value.begin(), value.end());
+  std::optional<Bytes> held = acceptor.take(i);
+  if (held.has_value() && bytes_equal(*held, value)) {
+    log[rel] = std::move(held);
+  } else {
+    log[rel] = Bytes(value.begin(), value.end());
+  }
   record(LogChange::Kind::kDecide, kNoRound, i, value);
 }
 
@@ -630,7 +637,8 @@ void LogConsensus::handle_accept(Runtime& rt, ProcessId src,
 
   // Pipelined commit: everything below commit_upto was decided by the
   // leader of this round; our accepted value at this same round for such an
-  // instance is therefore the chosen value.
+  // instance is therefore the chosen value. learn() drops the pair and
+  // moves its buffer into the log, so the view it was given stays valid.
   for (Instance j = first_unknown(); j < msg.commit_upto; ++j) {
     if (is_decided(j)) continue;
     const auto* pair = state_.acceptor.accepted(j);

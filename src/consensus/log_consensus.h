@@ -131,7 +131,9 @@ struct LogChange {
 /// The engine's acceptor and learner state. Its field list is also the
 /// checkpoint format a crash-recovery engine stores (LogCheckpoint). Every
 /// change goes through the mutators below, which the live engine and the
-/// journal replay share.
+/// journal replay share. The acceptor holds pairs for undecided instances
+/// only: a decided value supersedes any pair in Phase 1, so each decided
+/// value is held once, in `log`.
 struct LogState {
   Acceptor acceptor;
   Instance base = 0;                      ///< compaction watermark
@@ -141,11 +143,19 @@ struct LogState {
   /// (wire::append). Null on a volatile engine and during replay.
   Bytes* journal = nullptr;
 
+  /// True when instance i is decided (compacted instances included).
+  [[nodiscard]] bool decided(Instance i) const {
+    return i < base || (i - base < log.size() && log[i - base].has_value());
+  }
+
   /// Acceptor::on_prepare; journals a raised promise.
   bool promise(Round round);
-  /// Acceptor::on_accept; journals a granted accept.
+  /// Acceptor::on_accept; journals a granted accept. For a decided
+  /// instance it only raises the promise and leaves no pair.
   bool accept(Round round, Instance i, BytesView value);
-  /// Records the decision of an undecided instance i >= base.
+  /// Records the decision of an undecided instance i >= base, and drops
+  /// its accepted pair: the pair's bytes become the log entry when they
+  /// are the decided value, so a `value` view into them stays valid.
   void decide(Instance i, BytesView value);
   /// Drops decided entries and accepted pairs below `upto` (> base). Not
   /// journaled: compaction writes a checkpoint instead.
@@ -288,14 +298,11 @@ class LogConsensus final : public ConsensusActor {
   // Learner-side. The decided log is stored with a compaction offset:
   // absolute instance i lives at state_.log[i - state_.base]; everything
   // below state_.base is decided-and-discarded.
-  /// `value` may borrow a receive buffer; learn copies exactly once, at
-  /// the point the decided log retains it.
+  /// `value` may borrow a receive buffer or the acceptor's pair; the
+  /// decided log keeps the pair's bytes when they are the decided value,
+  /// and copies `value` only otherwise.
   void learn(Runtime& rt, Instance i, BytesView value);
-  [[nodiscard]] bool is_decided(Instance i) const {
-    if (i < state_.base) return true;
-    Instance rel = i - state_.base;
-    return rel < state_.log.size() && state_.log[rel].has_value();
-  }
+  [[nodiscard]] bool is_decided(Instance i) const { return state_.decided(i); }
   [[nodiscard]] const Bytes* decided_value(Instance i) const {
     if (i < state_.base) return nullptr;  // compacted away
     Instance rel = i - state_.base;

@@ -5,10 +5,12 @@
 // Ballot (round) discipline: process p uses ballots p, p+n, p+2n, …, so
 // ballot sets are disjoint across processes and totally ordered. An acceptor
 // maintains one global promise and per-instance accepted (round, value)
-// pairs, as in classic multi-Paxos.
+// pairs, as in classic multi-Paxos. The log engine keeps pairs only for
+// undecided instances (LogState::decide hands a pair's bytes to the log).
 #pragma once
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "common/blob.h"
@@ -173,6 +175,17 @@ class Acceptor {
   /// Accepted pairs in instance order.
   [[nodiscard]] const std::vector<AcceptedPair>& all_accepted() const {
     return accepted_;
+  }
+
+  /// Drops the pair of a decided instance and hands over its value, so the
+  /// decided log can keep these very bytes (nullopt when none is held).
+  /// Moving a Bytes keeps its buffer, so a view into the value stays valid.
+  std::optional<Bytes> take(Instance i) {
+    auto it = std::lower_bound(accepted_.begin(), accepted_.end(), i, before);
+    if (it == accepted_.end() || it->instance != i) return std::nullopt;
+    std::optional<Bytes> value(std::move(it->value));
+    accepted_.erase(it);
+    return value;
   }
 
   /// Frees acceptor state at and below a decided prefix (log compaction).

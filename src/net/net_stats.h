@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <utility>
@@ -45,7 +46,10 @@ class NetStats {
         sent_by_process_(static_cast<std::size_t>(n), 0),
         delivered_by_process_(static_cast<std::size_t>(n), 0),
         sent_by_link_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-                      0) {
+                      0),
+        sender_words_(words_for(static_cast<std::size_t>(n))),
+        link_words_(words_for(static_cast<std::size_t>(n) *
+                              static_cast<std::size_t>(n))) {
     obs::Registry& reg = registry != nullptr ? *registry : own_registry_;
     sent_total_ = &reg.counter("net.sent_total");
     bytes_total_ = &reg.counter("net.bytes_total");
@@ -73,14 +77,15 @@ class NetStats {
     ++sent_by_class_[type_class(type)];
     if (!delivered) dropped_total_->inc();
     auto bucket = static_cast<std::size_t>(t / bucket_width_);
-    if (bucket >= bucket_senders_.size()) {
-      bucket_senders_.resize(bucket + 1);
-      bucket_links_.resize(bucket + 1);
+    if (bucket >= bucket_msgs_.size()) {
+      bucket_senders_.resize((bucket + 1) * sender_words_, 0);
+      bucket_links_.resize((bucket + 1) * link_words_, 0);
       bucket_msgs_.resize(bucket + 1, 0);
       bucket_class_msgs_.resize(bucket + 1);
     }
-    bucket_senders_[bucket].insert(src);
-    bucket_links_[bucket].insert(link_index(src, dst));
+    set_bit(&bucket_senders_[bucket * sender_words_],
+            static_cast<std::size_t>(src));
+    set_bit(&bucket_links_[bucket * link_words_], link_index(src, dst));
     ++bucket_msgs_[bucket];
     ++bucket_class_msgs_[bucket][type_class(type)];
   }
@@ -126,11 +131,16 @@ class NetStats {
   /// Number of distinct processes that sent at least one message in the
   /// bucket containing time t (0 if the bucket saw no traffic).
   [[nodiscard]] std::size_t senders_in_bucket(std::size_t bucket) const {
-    return bucket < bucket_senders_.size() ? bucket_senders_[bucket].size() : 0;
+    return bucket < bucket_msgs_.size()
+               ? count_bits(&bucket_senders_[bucket * sender_words_],
+                            sender_words_)
+               : 0;
   }
 
   [[nodiscard]] std::size_t links_in_bucket(std::size_t bucket) const {
-    return bucket < bucket_links_.size() ? bucket_links_[bucket].size() : 0;
+    return bucket < bucket_msgs_.size()
+               ? count_bits(&bucket_links_[bucket * link_words_], link_words_)
+               : 0;
   }
 
   [[nodiscard]] std::uint64_t msgs_in_bucket(std::size_t bucket) const {
@@ -141,9 +151,9 @@ class NetStats {
   [[nodiscard]] std::set<ProcessId> senders_between(TimePoint from,
                                                     TimePoint to) const {
     std::set<ProcessId> out;
-    for_buckets(from, to, [&](std::size_t b) {
-      out.insert(bucket_senders_[b].begin(), bucket_senders_[b].end());
-    });
+    for (std::size_t p : bits_between(bucket_senders_, sender_words_, from, to)) {
+      out.insert(static_cast<ProcessId>(p));
+    }
     return out;
   }
 
@@ -151,12 +161,10 @@ class NetStats {
   [[nodiscard]] std::set<std::pair<ProcessId, ProcessId>> links_between(
       TimePoint from, TimePoint to) const {
     std::set<std::pair<ProcessId, ProcessId>> out;
-    for_buckets(from, to, [&](std::size_t b) {
-      for (std::size_t link : bucket_links_[b]) {
-        out.emplace(static_cast<ProcessId>(link / static_cast<std::size_t>(n_)),
-                    static_cast<ProcessId>(link % static_cast<std::size_t>(n_)));
-      }
-    });
+    for (std::size_t link : bits_between(bucket_links_, link_words_, from, to)) {
+      out.emplace(static_cast<ProcessId>(link / static_cast<std::size_t>(n_)),
+                  static_cast<ProcessId>(link % static_cast<std::size_t>(n_)));
+    }
     return out;
   }
 
@@ -185,6 +193,36 @@ class NetStats {
            static_cast<std::size_t>(dst);
   }
 
+  static constexpr std::size_t words_for(std::size_t bits) {
+    return (bits + 63) / 64;
+  }
+  static void set_bit(std::uint64_t* words, std::size_t bit) {
+    words[bit / 64] |= std::uint64_t{1} << (bit % 64);
+  }
+  static std::size_t count_bits(const std::uint64_t* words, std::size_t n) {
+    std::size_t total = 0;
+    for (std::size_t w = 0; w < n; ++w) total += std::popcount(words[w]);
+    return total;
+  }
+
+  /// The bits set in any bucket of [from, to), in increasing order, from
+  /// per-bucket bitmasks of `words` words each.
+  [[nodiscard]] std::vector<std::size_t> bits_between(
+      const std::vector<std::uint64_t>& masks, std::size_t words,
+      TimePoint from, TimePoint to) const {
+    std::vector<std::uint64_t> any(words, 0);
+    for_buckets(from, to, [&](std::size_t b) {
+      for (std::size_t w = 0; w < words; ++w) any[w] |= masks[b * words + w];
+    });
+    std::vector<std::size_t> out;
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t m = any[w]; m != 0; m &= m - 1) {
+        out.push_back(w * 64 + static_cast<std::size_t>(std::countr_zero(m)));
+      }
+    }
+    return out;
+  }
+
   template <typename Fn>
   void for_buckets(TimePoint from, TimePoint to, Fn&& fn) const {
     auto lo = static_cast<std::size_t>(std::max<TimePoint>(from, 0) /
@@ -210,8 +248,12 @@ class NetStats {
   std::vector<std::uint64_t> delivered_by_process_;
   std::vector<std::uint64_t> sent_by_link_;
   std::array<std::uint64_t, kClasses> sent_by_class_{};
-  std::vector<std::set<ProcessId>> bucket_senders_;
-  std::vector<std::set<std::size_t>> bucket_links_;
+  /// Per bucket, bitmasks of the processes that sent (sender_words_ words,
+  /// bit p) and of the links used (link_words_ words, bit src * n + dst).
+  std::size_t sender_words_;
+  std::size_t link_words_;
+  std::vector<std::uint64_t> bucket_senders_;
+  std::vector<std::uint64_t> bucket_links_;
   std::vector<std::uint64_t> bucket_msgs_;
   std::vector<std::array<std::uint64_t, kClasses>> bucket_class_msgs_;
 };

@@ -148,6 +148,37 @@ std::vector<ReplicaStores> alive_stores(Simulator& sim, int n,
   return out;
 }
 
+/// The acceptor bound (DESIGN.md §4): an acceptor keeps accepted pairs for
+/// undecided instances only, so each decided value is held once, in the
+/// decided log. Flags the first decided instance that p's group `group`
+/// still holds a pair for.
+void check_acceptor_bound(const LogConsensus& log, ProcessId p, int group,
+                          std::vector<std::string>& violations) {
+  for (const Acceptor::AcceptedPair& pair : log.acceptor().all_accepted()) {
+    if (log.log_state().decided(pair.instance)) {
+      violations.push_back("p" + std::to_string(p) + " group " +
+                           std::to_string(group) +
+                           ": acceptor holds a pair for decided instance " +
+                           std::to_string(pair.instance));
+      return;
+    }
+  }
+}
+
+/// check_acceptor_bound over every group of every alive replica among
+/// processes [0, n).
+template <typename Replica>
+void check_acceptor_bounds(Simulator& sim, int n, bool relayed,
+                           std::vector<std::string>& violations) {
+  for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
+    if (!sim.alive(p)) continue;
+    const Replica& replica = proto_actor<Replica>(sim, p, relayed);
+    for (int g = 0; g < replica.shards(); ++g) {
+      check_acceptor_bound(replica.group(g).consensus(), p, g, violations);
+    }
+  }
+}
+
 /// Pulls the run's obs-plane histograms into a case or soak result:
 /// election stabilization spans plus consensus decide latencies (including
 /// the per-shard "_shard<g>" series, merged into one population).
@@ -450,6 +481,7 @@ CaseResult run_consensus(const CampaignConfig& config, std::uint64_t seed) {
     for (ProcessId p = 0; p < static_cast<ProcessId>(config.n); ++p) {
       if (!c.sim.alive(p)) continue;
       alive.push_back(p);
+      check_acceptor_bound(c.actor<CeNode>(p).consensus(), p, 0, violations);
       const Instance len = c.actor<CeNode>(p).consensus().first_unknown();
       max_len = std::max(max_len, len);
       min_len = std::min(min_len, len);
@@ -735,6 +767,7 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
         }
       }
     }
+    check_acceptor_bounds<KvReplica>(c.sim, config.n, c.relayed, violations);
     LinOptions lo;
     lo.max_nodes = config.lin_max_nodes;
     judge_linearizability(
@@ -1211,6 +1244,7 @@ SoakResult run_soak(const SoakConfig& config, std::FILE* log) {
     violations.emplace_back(
         "replicas diverged: store digests differ at the end of the soak");
   }
+  check_acceptor_bounds<CrKvReplica>(sim, n, false, violations);
 
   LinOptions lo;
   lo.max_nodes = config.lin_max_nodes;

@@ -7,6 +7,8 @@
 //     message once the pool is warm;
 //   * borrow-decode of blob-carrying messages: ZERO allocations (the blob
 //     fields alias the receive buffer instead of copying);
+//   * a follower's ACCEPT plus decide of one value: ONE value-sized
+//     allocation (the decided log takes over the acceptor's copy);
 //   * the simulator's event loop in steady state: a generous pinned bound
 //     per event, so a stray per-message copy can't creep back in silently
 //     (protocol bookkeeping — map/set nodes — legitimately allocates, so
@@ -21,6 +23,7 @@
 #include <new>
 
 #include "common/buffer_pool.h"
+#include "consensus/log_consensus.h"
 #include "consensus/paxos.h"
 #include "net/topology.h"
 #include "net/wire.h"
@@ -28,13 +31,20 @@
 #include "rsm/command.h"
 #include "shard/shard_map.h"
 #include "sim/simulator.h"
+#include "testing_util.h"
 
 namespace {
 std::atomic<std::uint64_t> g_new_calls{0};
+/// operator new calls of exactly g_watched_size bytes (0 = none watched).
+std::atomic<std::size_t> g_watched_size{0};
+std::atomic<std::uint64_t> g_watched_calls{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (size == g_watched_size.load(std::memory_order_relaxed)) {
+    g_watched_calls.fetch_add(1, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -160,6 +170,56 @@ TEST(AllocRegression, SimulatorSteadyStateStaysUnderPinnedBound) {
   EXPECT_LT(delta, events * 8)
       << "simulator steady state allocated " << delta << " times over "
       << events << " events";
+}
+
+class LeaderZeroOmega final : public OmegaActor {
+ public:
+  void on_start(Runtime&) override {}
+  void on_message(Runtime&, ProcessId, MessageType, BytesView) override {}
+  void on_timer(Runtime&, TimerId) override {}
+  [[nodiscard]] ProcessId leader() const override { return 0; }
+};
+
+/// A follower holds each decided value once: the bytes its acceptor copies
+/// out of an ACCEPT become the decided-log entry at decide, so a value
+/// costs one value-sized allocation, not an acceptor copy plus a log copy.
+TEST(AllocRegression, WarmFollowerAllocatesEachDecidedValueOnce) {
+  constexpr std::size_t kValueSize = 1031;  // odd: no container's block size
+  constexpr Instance kWarm = 8;
+  constexpr Instance kValues = 64;
+  LeaderZeroOmega omega;
+  testing::FakeRuntime rt(/*id=*/2, /*n=*/3);
+  LogConsensus follower(LogConsensusConfig{}, &omega);
+  follower.on_start(rt);
+  // Every frame is encoded before counting starts.
+  std::vector<Bytes> accepts;
+  std::vector<Bytes> decides;
+  for (Instance i = 0; i < kWarm + kValues; ++i) {
+    const Bytes v(kValueSize, static_cast<std::byte>(i));
+    accepts.push_back(AcceptMsg{0, i, i, v, 0}.encode());
+    decides.push_back(DecideMsg{i, v}.encode());
+  }
+  const auto accept_then_decide = [&](Instance i) {
+    follower.on_message(rt, 0, msg_type::kAccept, accepts[i]);
+    follower.on_message(rt, 0, msg_type::kDecide, decides[i]);
+  };
+  for (Instance i = 0; i < kWarm; ++i) accept_then_decide(i);
+  rt.clear_sent();
+
+  g_watched_size = kValueSize;
+  const std::uint64_t before = g_watched_calls.load();
+  for (Instance i = kWarm; i < kWarm + kValues; ++i) accept_then_decide(i);
+  const std::uint64_t value_allocs = g_watched_calls.load() - before;
+  g_watched_size = 0;
+
+  EXPECT_EQ(value_allocs, kValues)
+      << "a decided value was copied again after its ACCEPT";
+  EXPECT_TRUE(follower.acceptor().all_accepted().empty());
+  ASSERT_EQ(follower.first_unknown(), kWarm + kValues);
+  for (Instance i = 0; i < kWarm + kValues; ++i) {
+    EXPECT_EQ(follower.decision(i),
+              Bytes(kValueSize, static_cast<std::byte>(i)));
+  }
 }
 
 }  // namespace

@@ -191,6 +191,31 @@ TEST(DurableAcceptor, AcceptedPairAndDecisionSurviveCrash) {
   EXPECT_EQ(replayed[1].first, 1u);
 }
 
+TEST(DurableAcceptor, AcceptThenDecideRestoresWithNoDecidedPair) {
+  // The journal holds accept 0, accept 1, decide 0 and a retransmitted
+  // accept of 0; replay runs the same mutators, so the restored acceptor
+  // holds only the undecided pair, as the live one does.
+  NullOmega omega;
+  DurableFakeRuntime rt(/*id=*/2, /*n=*/3);
+  Bytes live;
+  {
+    LogConsensus log(CrNode::durable_config(), &omega);
+    log.on_start(rt);
+    log.on_message(rt, 0, msg_type::kAccept, AcceptMsg{3, 0, 0, val(7)}.encode());
+    log.on_message(rt, 0, msg_type::kAccept, AcceptMsg{3, 1, 0, val(8)}.encode());
+    log.on_message(rt, 0, msg_type::kDecide, DecideMsg{0, val(7)}.encode());
+    log.on_message(rt, 0, msg_type::kAccept, AcceptMsg{3, 0, 0, val(7)}.encode());
+    live = log.log_state().encode();
+  }
+  LogConsensus recovered(CrNode::durable_config(), &omega);
+  recovered.on_start(rt);
+  EXPECT_EQ(recovered.log_state().encode(), live);
+  EXPECT_EQ(recovered.decision(0), val(7));
+  EXPECT_EQ(recovered.acceptor().accepted(0), nullptr);
+  ASSERT_EQ(recovered.acceptor().all_accepted().size(), 1u);
+  EXPECT_EQ(recovered.acceptor().accepted(1)->value, val(8));
+}
+
 /// Runs one durable log through a promise, a decision, a compaction (the
 /// checkpoint) and a second promise (a journal record after it).
 void promise_decide_compact_promise(Runtime& rt, const LogConsensusConfig& c,
@@ -631,6 +656,47 @@ TEST(DurableCost, BytesPerDecisionDoNotGrowWithTheCompactionPeriod) {
   const double p2 = bytes_per_decision(100);
   EXPECT_LT(std::max(p, p2), 1.5 * std::min(p, p2)) << p << " vs " << p2;
   EXPECT_LT(std::max(p, p2), 12.0 * kCostValueSize) << p << " vs " << p2;
+}
+
+TEST(DurableCost, ForcedCheckpointCarriesOnlyUndecidedPairs) {
+  // With no compaction, a follower that accepts each 100-byte value and
+  // learns it one instance later writes two records per instance; the
+  // write after the ring fills (record kJournalSlots) is a checkpoint of
+  // the whole LogState. Its acceptor holds only the one undecided pair, so
+  // it costs about one value per decided entry (one decided copy plus one
+  // acceptor copy would be about two).
+  NullOmega omega;
+  DurableFakeRuntime rt(/*id=*/2, /*n=*/3);
+  LogConsensus log(CrNode::durable_config(), &omega);
+  log.on_start(rt);
+  const auto value = [](Instance i) {
+    Bytes v = numbered(i);
+    v.resize(kCostValueSize, std::byte{0x5a});
+    return v;
+  };
+  for (Instance i = 0; !rt.storage_.read("log_consensus/state"); ++i) {
+    ASSERT_LT(i, LogConsensus::kJournalSlots);
+    log.on_message(rt, 0, msg_type::kAccept,
+                   AcceptMsg{3, i, 0, value(i)}.encode());
+    if (i > 0) {
+      log.on_message(rt, 0, msg_type::kDecide,
+                     DecideMsg{i - 1, value(i - 1)}.encode());
+    }
+  }
+  const Bytes stored = *rt.storage_.read("log_consensus/state");
+  const LogCheckpoint cp = LogCheckpoint::decode(stored);
+  EXPECT_EQ(cp.next_seq, LogConsensus::kJournalSlots);
+  const LogState state = LogState::decode(cp.state.view());
+  Instance first_unknown = state.base;
+  while (state.decided(first_unknown)) ++first_unknown;
+  ASSERT_GT(first_unknown, LogConsensus::kJournalSlots / 4);
+  const auto& pairs = state.acceptor.all_accepted();  // instance order
+  ASSERT_FALSE(pairs.empty());
+  EXPECT_GE(pairs.front().instance, first_unknown)
+      << "the checkpoint stores pairs of decided instances";
+  const double per_entry = static_cast<double>(stored.size()) /
+                           static_cast<double>(first_unknown);
+  EXPECT_LT(per_entry, 1.2 * kCostValueSize) << per_entry;
 }
 
 /// Bytes of the dedup section of the KV snapshot a durable core writes

@@ -425,5 +425,90 @@ TEST(LogConsensusUnit, ForwardDeduplicatesAgainstLogAndQueue) {
   EXPECT_EQ(f.consensus.pending_count(), 0u);
 }
 
+// --- the acceptor bound: a decided instance keeps no accepted pair --------
+
+/// A value long enough that a copy and a moved buffer are told apart.
+Bytes big(std::uint8_t x) { return Bytes(257, std::byte{x}); }
+
+TEST(LogConsensusUnit, DecidedInstancesLeaveNoAcceptedPair) {
+  Fixture f(/*self=*/2, /*n=*/3, /*leader=*/0);
+  f.deliver(0, msg_type::kAccept, AcceptMsg{0, 0, 0, big(1)}.encode());
+  f.deliver(0, msg_type::kAccept, AcceptMsg{0, 1, 0, big(2)}.encode());
+  f.deliver(0, msg_type::kAccept, AcceptMsg{0, 2, 0, big(3)}.encode());
+  ASSERT_EQ(f.consensus.acceptor().all_accepted().size(), 3u);
+
+  // Learned through commit_upto: the pair's own bytes become the entry.
+  f.deliver(0, msg_type::kAccept, AcceptMsg{0, 3, 1, big(4)}.encode());
+  EXPECT_EQ(f.consensus.decision(0), big(1));
+  EXPECT_EQ(f.consensus.acceptor().accepted(0), nullptr);
+
+  // Learned through DECIDE.
+  f.deliver(0, msg_type::kDecide, DecideMsg{1, big(2)}.encode());
+  EXPECT_EQ(f.consensus.decision(1), big(2));
+  EXPECT_EQ(f.consensus.acceptor().accepted(1), nullptr);
+
+  // Decided with another value than the pair's (a competing leader won
+  // the slot): the pair goes too, and the log holds the decided value.
+  f.deliver(1, msg_type::kDecide, DecideMsg{2, big(9)}.encode());
+  EXPECT_EQ(f.consensus.decision(2), big(9));
+  EXPECT_EQ(f.consensus.acceptor().accepted(2), nullptr);
+
+  // The undecided pair survives, and Phase 1 still reports it.
+  ASSERT_EQ(f.consensus.acceptor().all_accepted().size(), 1u);
+  EXPECT_EQ(f.consensus.acceptor().accepted(3)->value, big(4));
+  f.rt.clear_sent();
+  f.deliver(1, msg_type::kPrepare, PrepareMsg{1, 3}.encode());
+  const Bytes* prom = f.last_sent(1, msg_type::kPromise);
+  ASSERT_NE(prom, nullptr);
+  const auto promise = PromiseMsg::decode(*prom);
+  ASSERT_EQ(promise.entries.size(), 1u);
+  EXPECT_EQ(promise.entries[0].instance, 3u);
+  EXPECT_FALSE(promise.entries[0].decided);
+  EXPECT_EQ(promise.entries[0].value, big(4));
+}
+
+TEST(LogConsensusUnit, LeaderQuorumDecisionLeavesNoAcceptedPair) {
+  Fixture f(/*self=*/0, /*n=*/3, /*leader=*/0);
+  f.tick();
+  const Round r = f.consensus.current_round();
+  f.deliver(1, msg_type::kPromise, PromiseMsg{r, {}}.encode());
+  ASSERT_TRUE(f.consensus.is_leader_ready());
+  f.consensus.propose(big(7));
+  f.consensus.propose(big(8));
+  ASSERT_EQ(f.consensus.acceptor().all_accepted().size(), 2u);
+
+  f.deliver(1, msg_type::kAccepted, AcceptedMsg{r, 0}.encode());
+  EXPECT_EQ(f.consensus.decision(0), big(7));
+  ASSERT_EQ(f.consensus.acceptor().all_accepted().size(), 1u);
+  EXPECT_EQ(f.consensus.acceptor().accepted(1)->value, big(8));
+  // The DECIDE carries the intact value.
+  const Bytes* decide = f.last_sent(2, msg_type::kDecide);
+  ASSERT_NE(decide, nullptr);
+  EXPECT_EQ(DecideMsg::decode(*decide).value, big(7));
+}
+
+TEST(LogConsensusUnit, AcceptForADecidedInstanceIsAckedButLeavesNoPair) {
+  Fixture f(/*self=*/2, /*n=*/3, /*leader=*/0);
+  f.deliver(0, msg_type::kAccept, AcceptMsg{0, 0, 0, big(1)}.encode());
+  f.deliver(0, msg_type::kDecide, DecideMsg{0, big(1)}.encode());
+  ASSERT_TRUE(f.consensus.acceptor().all_accepted().empty());
+
+  // A retransmitted ACCEPT, here at a higher round, still raises the
+  // promise and still gets its ACCEPTED, but leaves no pair.
+  f.rt.clear_sent();
+  f.deliver(0, msg_type::kAccept, AcceptMsg{3, 0, 0, big(1)}.encode());
+  const Bytes* ack = f.last_sent(0, msg_type::kAccepted);
+  ASSERT_NE(ack, nullptr);
+  EXPECT_EQ(AcceptedMsg::decode(*ack).instance, 0u);
+  EXPECT_EQ(AcceptedMsg::decode(*ack).round, 3);
+  EXPECT_EQ(f.consensus.acceptor().promised(), 3);
+  EXPECT_TRUE(f.consensus.acceptor().all_accepted().empty());
+  EXPECT_EQ(f.consensus.decision(0), big(1));
+
+  // Below the promise it is refused as before.
+  f.deliver(0, msg_type::kAccept, AcceptMsg{0, 0, 0, big(1)}.encode());
+  EXPECT_NE(f.last_sent(0, msg_type::kNack), nullptr);
+}
+
 }  // namespace
 }  // namespace lls

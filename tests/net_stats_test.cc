@@ -82,5 +82,36 @@ TEST(NetStats, WindowBoundariesIncludePartialBuckets) {
   EXPECT_EQ(s.msgs_between(100, 150), 1u);
 }
 
+TEST(NetStats, LinksAndSendersSpanSeveralMaskWords) {
+  // n = 9: 81 links, so link bits 64 and up live in a bucket's second word.
+  NetStats s(9, 100);
+  s.on_send(10, 0, 1, 1, true);   // link 1, word 0
+  s.on_send(20, 7, 1, 1, true);   // link 64, word 1
+  s.on_send(30, 8, 0, 1, true);   // link 72, word 1
+  s.on_send(40, 8, 0, 1, true);   // repeated link, counted once
+  s.on_send(150, 8, 8, 1, true);  // link 80, word 1, next bucket
+  EXPECT_EQ(s.links_in_bucket(0), 3u);
+  EXPECT_EQ(s.senders_in_bucket(0), 3u);
+  EXPECT_EQ(s.links_in_bucket(1), 1u);
+  EXPECT_EQ(s.msgs_in_bucket(0), 4u);
+  EXPECT_EQ(s.links_between(0, 200),
+            (std::set<std::pair<ProcessId, ProcessId>>{
+                {0, 1}, {7, 1}, {8, 0}, {8, 8}}));
+  EXPECT_EQ(s.links_between(100, 200),
+            (std::set<std::pair<ProcessId, ProcessId>>{{8, 8}}));
+  EXPECT_EQ(s.senders_between(0, 200), (std::set<ProcessId>{0, 7, 8}));
+
+  // n = 70: senders span two words as well.
+  NetStats wide(70, 100);
+  wide.on_send(10, 0, 69, 1, true);
+  wide.on_send(20, 64, 0, 1, true);
+  wide.on_send(30, 69, 68, 1, true);
+  EXPECT_EQ(wide.senders_in_bucket(0), 3u);
+  EXPECT_EQ(wide.senders_between(0, 100), (std::set<ProcessId>{0, 64, 69}));
+  EXPECT_EQ(wide.links_between(0, 100),
+            (std::set<std::pair<ProcessId, ProcessId>>{
+                {0, 69}, {64, 0}, {69, 68}}));
+}
+
 }  // namespace
 }  // namespace lls
