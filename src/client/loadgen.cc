@@ -19,6 +19,9 @@
 
 namespace lls {
 
+static_assert(LoadgenConfig{}.consensus_max_inflight ==
+              LogConsensusConfig{}.max_inflight);
+
 namespace {
 
 /// Zipf-ish rank sampler over [0, keys): inverse-CDF over 1/(r+1)^s weights.

@@ -52,11 +52,12 @@ struct LoadgenConfig {
   /// apples-to-apples scaling comparison.
   int shards = 1;
 
-  /// Per-group proposer pipelining window (LogConsensusConfig::max_inflight);
-  /// 0 = unbounded. A finite window makes per-group throughput
-  /// window-limited, which is what lets shard counts scale aggregate
-  /// throughput in the sim's latency-bound regime (see EXPERIMENTS.md C5).
-  std::size_t consensus_max_inflight = 0;
+  /// Per-group proposer pipelining window (LogConsensusConfig::max_inflight,
+  /// >= 1, with its default; loadgen.cc checks the two agree). A small
+  /// window makes per-group throughput window-limited, which is what lets
+  /// shard counts scale aggregate throughput in the sim's latency-bound
+  /// regime (see EXPERIMENTS.md C5).
+  std::size_t consensus_max_inflight = 1024;
 
   // Client knobs.
   Duration attempt_timeout = 120 * kMillisecond;

@@ -1,6 +1,7 @@
 #include "consensus/log_consensus.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -22,6 +23,11 @@ void LogConsensus::on_start(Runtime& rt) {
   self_ = rt.id();
   n_ = rt.n();
   rt_ = &rt;
+  // Ack and promise sets are n-bit masks; a window of 0 never proposes.
+  if (n_ > 64 || config_.max_inflight == 0) {
+    throw std::invalid_argument(
+        "LogConsensus needs n <= 64 and max_inflight >= 1");
+  }
   support_until_.assign(static_cast<std::size_t>(n_), 0);
   // Sharded engines get per-shard histograms (the registry is name-keyed,
   // so the shard suffix is the label).
@@ -62,16 +68,26 @@ bool LogState::accept(Round round, Instance i, BytesView value) {
   return true;
 }
 
-void LogState::decide(Instance i, BytesView value) {
+bool LogState::accept(Round round, Instance i, Bytes&& value) {
+  if (decided(i)) return accept(round, i, BytesView(value));
+  if (!acceptor.on_accept(round, i, std::move(value))) return false;
+  record(LogChange::Kind::kAccept, round, i, acceptor.accepted(i)->value);
+  return true;
+}
+
+std::optional<Bytes> LogState::decide(Instance i, BytesView value) {
   const Instance rel = i - base;
   if (rel >= log.size()) log.resize(rel + 1);
   std::optional<Bytes> held = acceptor.take(i);
+  std::optional<Bytes> displaced;
   if (held.has_value() && bytes_equal(*held, value)) {
     log[rel] = std::move(held);
   } else {
     log[rel] = Bytes(value.begin(), value.end());
+    displaced = std::move(held);
   }
   record(LogChange::Kind::kDecide, kNoRound, i, value);
+  return displaced;
 }
 
 void LogState::compact(Instance upto) {
@@ -216,10 +232,17 @@ bool LogConsensus::queued_or_in_flight(BytesView value) const {
   for (const Bytes& v : pending_) {
     if (bytes_equal(v, value)) return true;
   }
-  for (const auto& [i, inf] : inflight_) {
-    if (bytes_equal(inf.value, value)) return true;
+  for (const Slot& slot : slots_) {
+    if (bytes_equal(slot_value(slot.instance), value)) return true;
   }
   return false;
+}
+
+std::vector<LogConsensus::Slot>::iterator LogConsensus::find_slot(Instance i) {
+  auto it = std::lower_bound(
+      slots_.begin(), slots_.end(), i,
+      [](const Slot& slot, Instance j) { return slot.instance < j; });
+  return it != slots_.end() && it->instance == i ? it : slots_.end();
 }
 
 void LogConsensus::on_timer(Runtime& rt, TimerId timer) {
@@ -264,7 +287,7 @@ void LogConsensus::start_prepare(Runtime& rt) {
       std::max({highest_seen_round_, state_.acceptor.promised(), my_round_});
   my_round_ = next_ballot(self_, n_, bound);
   preparing_ = true;
-  promises_.clear();
+  promises_ = 0;
   promise_merge_.clear();
   prepare_from_ = first_unknown();
 
@@ -273,12 +296,12 @@ void LogConsensus::start_prepare(Runtime& rt) {
   // process never reuses a ballot it already sent.
   state_.promise(my_round_);
   if (config_.durable) persist(rt);
-  promises_.insert(self_);
+  promises_ = bit(self_);
   for (const auto& pair : state_.acceptor.all_accepted()) {
     const Instance i = pair.instance;
     if (i >= prepare_from_ && !is_decided(i)) promise_merge_[i] = pair;
   }
-  if (static_cast<int>(promises_.size()) >= majority()) {
+  if (std::popcount(promises_) >= majority()) {
     become_ready(rt);
     return;
   }
@@ -350,23 +373,23 @@ void LogConsensus::assign_pending(Runtime& rt) {
 }
 
 void LogConsensus::start_instance(Runtime& rt, Instance i, Bytes value) {
-  InFlight inf;
-  inf.value = std::move(value);
-  inf.acks.insert(self_);
-  state_.accept(my_round_, i, inf.value);
-  inflight_[i] = std::move(inf);
-  accept_started_.try_emplace(i, rt.now());
+  // Callers pick an undecided instance, and my acceptor's promise is
+  // my_round_ while I propose, so the self-accept leaves a pair. They also
+  // go upward (become_ready's merged instances in order, then next_free_),
+  // so the slots stay sorted.
+  state_.accept(my_round_, i, std::move(value));
+  slots_.push_back(Slot{i, bit(self_), rt.now()});
+  const Bytes& held = slot_value(i);
   for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
-    if (q != self_) send_accept(rt, q, i);
+    if (q != self_) send_accept(rt, q, i, held);
   }
 }
 
-void LogConsensus::send_accept(Runtime& rt, ProcessId dst, Instance i) {
-  const InFlight& inf = inflight_.at(i);
+void LogConsensus::send_accept(Runtime& rt, ProcessId dst, Instance i,
+                               BytesView value) {
   // Borrow the in-flight value and encode into a pooled frame: the steady
   // state Phase-2 send allocates nothing.
-  AcceptMsg msg{my_round_, i, first_unknown(), WireBlob::ref(inf.value),
-                rt.now()};
+  AcceptMsg msg{my_round_, i, first_unknown(), WireBlob::ref(value), rt.now()};
   rt.send(dst, msg_type::kAccept, wire::encode_pooled(rt.pool(), msg).view());
 }
 
@@ -375,15 +398,18 @@ void LogConsensus::retransmit(Runtime& rt) {
     auto payload = wire::encode_pooled(
         rt.pool(), PrepareMsg{my_round_, prepare_from_, rt.now()});
     for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
-      if (q != self_ && !promises_.contains(q)) {
+      if (q != self_ && (promises_ & bit(q)) == 0) {
         rt.send(q, msg_type::kPrepare, payload.view());
       }
     }
   }
   if (leader_ready_) {
-    for (const auto& [i, inf] : inflight_) {
+    for (const Slot& slot : slots_) {
+      const Bytes& value = slot_value(slot.instance);
       for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
-        if (q != self_ && !inf.acks.contains(q)) send_accept(rt, q, i);
+        if (q != self_ && (slot.acks & bit(q)) == 0) {
+          send_accept(rt, q, slot.instance, value);
+        }
       }
     }
     for (const auto& [i, unacked] : decide_unacked_) {
@@ -408,21 +434,17 @@ void LogConsensus::abdicate() {
   // Unfinished proposals go back to the pending queue; they will be
   // forwarded to the new leader (the new leader's Phase 1 may also recover
   // them, in which case byte-identical duplicates are pruned at decision
-  // time).
-  for (auto& [i, inf] : inflight_) {
-    if (inf.value.empty()) continue;
-    const Bytes* d = decided_value(i);
-    // Undecided: still owed placement. Decided with a DIFFERENT value: the
-    // slot was lost to a competing leader and the value is still owed
-    // placement (a stale-ready leader can hold such an entry — see
-    // assign_pending). Only a slot decided with this very value is done.
-    if (!is_decided(i) || (d != nullptr && *d != inf.value)) {
-      pending_.push_back(std::move(inf.value));
-    }
+  // time). A slot is undecided (learn drops it at decide), and its value
+  // is my acceptor's pair, which stays: pairs are durable Phase-1 state,
+  // so the queue gets a copy. A caller about to overwrite a pair abdicates
+  // first (handle_accept).
+  for (const Slot& slot : slots_) {
+    const Bytes& value = slot_value(slot.instance);
+    if (!value.empty()) pending_.push_back(value);
   }
-  inflight_.clear();
+  slots_.clear();
   promise_merge_.clear();
-  promises_.clear();
+  promises_ = 0;
   decide_unacked_.clear();
   preparing_ = false;
   leader_ready_ = false;
@@ -437,36 +459,25 @@ void LogConsensus::learn(Runtime& rt, Instance i, BytesView value) {
       throw std::logic_error("consensus agreement violated at instance " +
                              std::to_string(i));
     }
-    // A duplicate decide can still owe displacement work: a stale-ready
-    // leader may have assigned a value to this instance after the first
-    // learn (see the decided-slot guard in assign_pending) — that value
-    // still needs placement.
-    if (auto it = inflight_.find(i); it != inflight_.end()) {
-      if (!it->second.value.empty() &&
-          !bytes_equal(it->second.value, value)) {
-        pending_.push_back(std::move(it->second.value));
-      }
-      inflight_.erase(it);
-    }
+    // No slot can be open here: slots are undecided instances (the
+    // decided-slot guards in become_ready and assign_pending).
     return;
   }
-  state_.decide(i, value);
-  if (auto it = inflight_.find(i); it != inflight_.end()) {
+  std::optional<Bytes> displaced = state_.decide(i, value);
+  if (auto it = find_slot(i); it != slots_.end()) {
     // The instance decided against a different value: another leader won
     // the slot while ours was in flight (e.g. this proposer was partitioned
-    // when it assigned the instance). The displaced value is still owed
-    // placement — re-queue it for a fresh instance. It may end up decided
-    // twice if the competing path also carried it; that is the documented
-    // at-least-once contract, deduplicated by the replica layer.
-    if (!it->second.value.empty() && !bytes_equal(it->second.value, value)) {
-      pending_.push_back(std::move(it->second.value));
+    // when it assigned the instance). The displaced value, which decide
+    // took out of my pair, is still owed placement — re-queue it for a
+    // fresh instance. It may end up decided twice if the competing path
+    // also carried it; that is the documented at-least-once contract,
+    // deduplicated by the replica layer.
+    if (displaced.has_value() && !displaced->empty()) {
+      pending_.push_back(std::move(*displaced));
     }
-    inflight_.erase(it);
-  }
-  if (auto it = accept_started_.find(i); it != accept_started_.end()) {
     // Close this instance's propose→decide span (proposer side only: the
     // start time exists only where the value was put in flight).
-    const Duration span = rt.now() - it->second;
+    const Duration span = rt.now() - it->started;
     if (decide_latency_ != nullptr) {
       decide_latency_->record(static_cast<double>(span) /
                               static_cast<double>(kMillisecond));
@@ -480,7 +491,7 @@ void LogConsensus::learn(Runtime& rt, Instance i, BytesView value) {
     e.b = i;
     e.label = "consensus_instance";
     rt.obs().bus().publish(e);
-    accept_started_.erase(it);
+    slots_.erase(it);
   }
   if (config_.durable) persist(rt);
 
@@ -496,18 +507,21 @@ void LogConsensus::learn(Runtime& rt, Instance i, BytesView value) {
 
   deliver_decided_prefix(rt);
 
-  // With a bounded pipelining window, a decision frees a slot: refill it
-  // from the pending queue right away rather than waiting for the next
-  // tick. Safe against re-entry — assign_pending never calls learn, and
-  // the Phase-1 path (handle_promise) runs with leader_ready_ still false.
-  if (config_.max_inflight != 0 && leader_ready_ && i_am_omega_leader() &&
-      !pending_.empty()) {
+  // A decision may free a window slot: refill it from the pending queue
+  // right away rather than waiting for the next tick. Safe against
+  // re-entry — assign_pending never calls learn, and the Phase-1 path
+  // (handle_promise) runs with leader_ready_ still false.
+  if (leader_ready_ && i_am_omega_leader() && !pending_.empty()) {
     assign_pending(rt);
   }
 }
 
 void LogConsensus::on_message(Runtime& rt, ProcessId src, MessageType type,
                               BytesView payload) {
+  // Quorums count cluster members only: a frame from outside [0, n) (a
+  // client's id, say) must neither vote nor teach a decision, and the ack
+  // and promise masks index by src.
+  if (src >= static_cast<ProcessId>(n_)) return;
   switch (type) {
     case msg_type::kPrepare:
       handle_prepare(rt, src, PrepareMsg::decode(payload));
@@ -610,8 +624,8 @@ void LogConsensus::handle_promise(Runtime& rt, ProcessId src,
           e.instance, e.accepted_round, e.value.to_owned()};
     }
   }
-  promises_.insert(src);
-  if (static_cast<int>(promises_.size()) >= majority()) become_ready(rt);
+  promises_ |= bit(src);
+  if (std::popcount(promises_) >= majority()) become_ready(rt);
 }
 
 void LogConsensus::handle_accept(Runtime& rt, ProcessId src,
@@ -620,6 +634,10 @@ void LogConsensus::handle_accept(Runtime& rt, ProcessId src,
   // toward everyone but the fence holder.
   if (fenced_against(src, rt.now())) return;
   highest_seen_round_ = std::max(highest_seen_round_, msg.round);
+  // Abdicate before the accept: it may overwrite the pair that holds one
+  // of my in-flight values, which abdicate() re-queues from the pair. (A
+  // proposer's promise is my_round_, so this accept is granted.)
+  if (msg.round > my_round_ && (preparing_ || leader_ready_)) abdicate();
   if (!state_.accept(msg.round, msg.instance, msg.value.view())) {
     rt.send(src, msg_type::kNack,
             wire::encode_pooled(rt.pool(),
@@ -628,7 +646,6 @@ void LogConsensus::handle_accept(Runtime& rt, ProcessId src,
     return;
   }
   if (config_.durable) persist(rt);  // accepted pair is durable state
-  if (msg.round > my_round_ && (preparing_ || leader_ready_)) abdicate();
   grant_fence(src, msg.round, rt.now());
   rt.send(src, msg_type::kAccepted,
           wire::encode_pooled(rt.pool(),
@@ -652,17 +669,17 @@ void LogConsensus::handle_accepted(Runtime& rt, ProcessId src,
   // Even an ack for an already-decided instance renews the support — the
   // follower granted (and fenced) it either way.
   record_support(src, msg.echo_ts);
-  auto it = inflight_.find(msg.instance);
-  if (it == inflight_.end()) return;  // already decided
-  it->second.acks.insert(src);
-  if (static_cast<int>(it->second.acks.size()) < majority()) return;
+  auto it = find_slot(msg.instance);
+  if (it == slots_.end()) return;  // already decided
+  it->acks |= bit(src);
+  if (std::popcount(it->acks) < majority()) return;
 
-  Bytes value = std::move(it->second.value);
-  inflight_.erase(it);
-  learn(rt, msg.instance, value);
+  // learn() drops the slot and moves the pair's bytes into the log.
+  learn(rt, msg.instance, slot_value(msg.instance));
   auto& unacked = decide_unacked_[msg.instance];
   auto payload = wire::encode_pooled(
-      rt.pool(), DecideMsg{msg.instance, WireBlob::ref(value)});
+      rt.pool(),
+      DecideMsg{msg.instance, WireBlob::ref(*decided_value(msg.instance))});
   for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
     if (q == self_) continue;
     unacked.insert(q);

@@ -25,6 +25,7 @@
 // id. An empty value is a no-op used to fill gaps discovered in Phase 1.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
@@ -69,12 +70,12 @@ struct LogConsensusConfig {
   /// key keep their un-suffixed names.
   int shard = -1;
 
-  /// Proposer pipelining window: maximum undecided instances this leader
-  /// keeps in flight at once. Fresh pending values beyond the window wait
-  /// in the queue until a decision frees a slot (Phase-1 merge re-proposals
-  /// are exempt — they are owed immediately for safety). 0 = unbounded,
-  /// the original eager behavior.
-  std::size_t max_inflight = 0;
+  /// Proposer pipelining window (>= 1): maximum undecided instances this
+  /// leader keeps in flight at once. Fresh pending values beyond it wait in
+  /// the queue until a decision frees a slot; Phase-1 merge re-proposals
+  /// are owed immediately for safety, so they may exceed it. The default is
+  /// far above the 128 in flight that any campaign or benchmark run reaches.
+  std::size_t max_inflight = 1024;
 
   /// Leader lease: a quorum-anchored window during which lease_valid() may
   /// return true at the leader, certifying that no other proposer can have
@@ -153,10 +154,15 @@ struct LogState {
   /// Acceptor::on_accept; journals a granted accept. For a decided
   /// instance it only raises the promise and leaves no pair.
   bool accept(Round round, Instance i, BytesView value);
+  /// Same, taking ownership of `value`: a granted accept moves it into the
+  /// pair instead of copying it (the leader's own proposals).
+  bool accept(Round round, Instance i, Bytes&& value);
   /// Records the decision of an undecided instance i >= base, and drops
   /// its accepted pair: the pair's bytes become the log entry when they
   /// are the decided value, so a `value` view into them stays valid.
-  void decide(Instance i, BytesView value);
+  /// Returns the pair's bytes when they are another value (a proposal the
+  /// decision displaced), else nullopt.
+  std::optional<Bytes> decide(Instance i, BytesView value);
   /// Drops decided entries and accepted pairs below `upto` (> base). Not
   /// journaled: compaction writes a checkpoint instead.
   void compact(Instance upto);
@@ -277,10 +283,10 @@ class LogConsensus final : public ConsensusActor {
   void start_prepare(Runtime& rt);
   void become_ready(Runtime& rt);
   void assign_pending(Runtime& rt);
-  /// Puts `value` in flight at instance i under my round: self-accept, then
-  /// ACCEPT to every peer.
+  /// Puts `value` in flight at instance i under my round: moves it into the
+  /// self-accepted pair, opens a slot, then sends ACCEPT to every peer.
   void start_instance(Runtime& rt, Instance i, Bytes value);
-  void send_accept(Runtime& rt, ProcessId dst, Instance i);
+  void send_accept(Runtime& rt, ProcessId dst, Instance i, BytesView value);
   void retransmit(Runtime& rt);
   void abdicate();
 
@@ -352,8 +358,26 @@ class LogConsensus final : public ConsensusActor {
   void deliver_decided_prefix(Runtime& rt);
   /// True when the pipelining window has room for a fresh assignment.
   [[nodiscard]] bool window_open() const {
-    return config_.max_inflight == 0 ||
-           inflight_.size() < config_.max_inflight;
+    return slots_.size() < config_.max_inflight;
+  }
+
+  /// One instance this leadership has in flight. Its value is not held
+  /// here: it is the acceptor's pair for `instance` at my_round_, which
+  /// start_instance moved it into and which stays until learn() decides
+  /// the instance or an abdication drops the slot.
+  struct Slot {
+    Instance instance = 0;
+    std::uint64_t acks = 0;  ///< bit q: q accepted it (self included)
+    TimePoint started = 0;   ///< opens the propose→decide span
+  };
+  [[nodiscard]] std::vector<Slot>::iterator find_slot(Instance i);
+  /// The in-flight value of slot instance i (the acceptor's pair).
+  [[nodiscard]] const Bytes& slot_value(Instance i) const {
+    return state_.acceptor.accepted(i)->value;
+  }
+  /// Process q's bit in an ack or promise mask (q < n <= 64).
+  [[nodiscard]] static std::uint64_t bit(ProcessId q) {
+    return std::uint64_t{1} << q;
   }
 
   LogConsensusConfig config_;
@@ -387,15 +411,12 @@ class LogConsensus final : public ConsensusActor {
   Round highest_seen_round_ = kNoRound;
   bool preparing_ = false;
   bool leader_ready_ = false;
-  std::set<ProcessId> promises_;
+  std::uint64_t promises_ = 0;  ///< bit q: q promised my_round_
   std::map<Instance, Acceptor::AcceptedPair> promise_merge_;
   Instance prepare_from_ = 0;
 
-  struct InFlight {
-    Bytes value;
-    std::set<ProcessId> acks;
-  };
-  std::map<Instance, InFlight> inflight_;
+  /// This leadership's in-flight instances, sorted by instance.
+  std::vector<Slot> slots_;
   Instance next_free_ = 0;
 
   /// Decided instances whose explicit DECIDE has not been acked by everyone
@@ -425,11 +446,9 @@ class LogConsensus final : public ConsensusActor {
   TimePoint lease_span_start_ = 0;
 
   // Observability (per-instance consensus spans). The histogram handle is
-  // resolved once at on_start; accept_started_ remembers when this process,
-  // as proposer, first put an instance in flight so learn() can record the
-  // propose→decide latency and close the span.
+  // resolved once at on_start; learn() records the propose→decide latency
+  // of a slot it decides (Slot::started), so a span covers one leadership.
   obs::Histogram* decide_latency_ = nullptr;
-  std::map<Instance, TimePoint> accept_started_;
 };
 
 }  // namespace lls

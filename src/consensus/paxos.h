@@ -152,15 +152,21 @@ class Acceptor {
   /// into owned state here, at the single point where retention happens.
   bool on_accept(Round round, Instance instance, BytesView value) {
     if (round < promised_) return false;
+    return on_accept(round, instance, Bytes(value.begin(), value.end()));
+  }
+
+  /// Same, taking ownership of `value`: a granted accept moves it into the
+  /// pair (the leader's own proposal needs no copy).
+  bool on_accept(Round round, Instance instance, Bytes&& value) {
+    if (round < promised_) return false;
     promised_ = round;
     auto it = std::lower_bound(accepted_.begin(), accepted_.end(), instance,
                                before);
-    Bytes owned(value.begin(), value.end());
     if (it != accepted_.end() && it->instance == instance) {
       it->round = round;
-      it->value = std::move(owned);
+      it->value = std::move(value);
     } else {
-      accepted_.insert(it, AcceptedPair{instance, round, std::move(owned)});
+      accepted_.insert(it, AcceptedPair{instance, round, std::move(value)});
     }
     return true;
   }

@@ -9,6 +9,9 @@
 //     fields alias the receive buffer instead of copying);
 //   * a follower's ACCEPT plus decide of one value: ONE value-sized
 //     allocation (the decided log takes over the acceptor's copy);
+//   * a warm leader deciding a value moved into propose(): NO value-sized
+//     allocation (the value moves into its own acceptor pair, then into
+//     the log), and only the DECIDE-ack bookkeeping besides;
 //   * the simulator's event loop in steady state: a generous pinned bound
 //     per event, so a stray per-message copy can't creep back in silently
 //     (protocol bookkeeping — map/set nodes — legitimately allocates, so
@@ -219,6 +222,87 @@ TEST(AllocRegression, WarmFollowerAllocatesEachDecidedValueOnce) {
   for (Instance i = 0; i < kWarm + kValues; ++i) {
     EXPECT_EQ(follower.decision(i),
               Bytes(kValueSize, static_cast<std::byte>(i)));
+  }
+}
+
+/// Runtime that drops every send and never fires a timer: unlike
+/// FakeRuntime, whose send copies each frame, it allocates nothing itself.
+class NullRuntime final : public Runtime {
+ public:
+  NullRuntime(ProcessId id, int n) : id_(id), n_(n) {}
+  [[nodiscard]] ProcessId id() const override { return id_; }
+  [[nodiscard]] int n() const override { return n_; }
+  [[nodiscard]] TimePoint now() const override { return 0; }
+  void send(ProcessId, MessageType, BytesView) override {}
+  TimerId set_timer(Duration) override { return ++last_timer; }
+  void cancel_timer(TimerId) override {}
+  Rng& rng() override { return rng_; }
+
+  TimerId last_timer = 0;
+
+ private:
+  ProcessId id_;
+  int n_;
+  Rng rng_{1};
+};
+
+/// A ready leader holds each value once: propose() moves it into the
+/// leader's own acceptor pair, ACCEPTs borrow it from there, and decide
+/// moves the pair's bytes into the log. What else a decision allocates is
+/// the DECIDE-ack bookkeeping: one map node and n - 1 set nodes.
+TEST(AllocRegression, WarmLeaderNeverCopiesItsValue) {
+  constexpr std::size_t kValueSize = 1031;  // odd: no container's block size
+  constexpr Instance kWarm = 64;
+  constexpr Instance kValues = 256;
+  for (const int n : {3, 5}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    LeaderZeroOmega omega;
+    NullRuntime rt(/*id=*/0, n);
+    LogConsensus leader(LogConsensusConfig{}, &omega);
+    leader.on_start(rt);
+    leader.on_timer(rt, rt.last_timer);  // Phase 1
+    const Round r = leader.current_round();
+    const Bytes promise = PromiseMsg{r, {}}.encode();
+    for (ProcessId q = 1; q < static_cast<ProcessId>(n); ++q) {
+      leader.on_message(rt, q, msg_type::kPromise, promise);
+    }
+    ASSERT_TRUE(leader.is_leader_ready());
+
+    // Every value and frame is built before counting starts.
+    std::vector<Bytes> values;
+    std::vector<Bytes> accepted;
+    std::vector<Bytes> decide_acks;
+    for (Instance i = 0; i < kWarm + kValues; ++i) {
+      values.emplace_back(kValueSize, static_cast<std::byte>(i));
+      accepted.push_back(AcceptedMsg{r, i, 0}.encode());
+      decide_acks.push_back(DecideAckMsg{i}.encode());
+    }
+    const auto decide = [&](Instance i) {
+      leader.propose(std::move(values[i]));
+      for (ProcessId q = 1; q < static_cast<ProcessId>(n); ++q) {
+        leader.on_message(rt, q, msg_type::kAccepted, accepted[i]);
+      }
+      for (ProcessId q = 1; q < static_cast<ProcessId>(n); ++q) {
+        leader.on_message(rt, q, msg_type::kDecideAck, decide_acks[i]);
+      }
+    };
+    for (Instance i = 0; i < kWarm; ++i) decide(i);
+
+    g_watched_size = kValueSize;
+    const std::uint64_t value_before = g_watched_calls.load();
+    const std::uint64_t before = allocs();
+    for (Instance i = kWarm; i < kWarm + kValues; ++i) decide(i);
+    const double per_decision =
+        static_cast<double>(allocs() - before) / kValues;
+    const std::uint64_t value_allocs = g_watched_calls.load() - value_before;
+    g_watched_size = 0;
+
+    EXPECT_EQ(value_allocs, 0u) << "the leader copied a value it was given";
+    EXPECT_LT(per_decision, n + 0.1);
+    ASSERT_EQ(leader.first_unknown(), kWarm + kValues);
+    EXPECT_TRUE(leader.acceptor().all_accepted().empty());
+    EXPECT_EQ(leader.decision(kWarm + kValues - 1),
+              Bytes(kValueSize, static_cast<std::byte>(kWarm + kValues - 1)));
   }
 }
 

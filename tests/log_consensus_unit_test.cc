@@ -34,10 +34,9 @@ struct Fixture {
   LogConsensus consensus;
   FakeRuntime rt;
 
-  explicit Fixture(ProcessId self, int n, ProcessId leader)
-      : omega(leader),
-        consensus(LogConsensusConfig{}, &omega),
-        rt(self, n) {
+  explicit Fixture(ProcessId self, int n, ProcessId leader,
+                   LogConsensusConfig config = {})
+      : omega(leader), consensus(config, &omega), rt(self, n) {
     consensus.on_start(rt);
   }
 
@@ -404,12 +403,27 @@ TEST(LogConsensusUnit, AbdicationRequeuesAValueDisplacedFromADecidedSlot) {
   f.consensus.propose(val(9));  // in flight at instance 0
 
   // A competing leader's decide for instance 0 arrives with another value:
-  // the displaced value goes straight back to pending.
+  // the displaced value goes straight back to pending, and the decision
+  // that freed its window slot re-proposes it at once, at instance 1.
+  f.rt.clear_sent();
   f.deliver(2, msg_type::kDecide, DecideMsg{0, val(6)}.encode());
-  EXPECT_EQ(f.consensus.pending_count(), 1u);
+  EXPECT_EQ(f.consensus.pending_count(), 0u);
+  const Bytes* acc = f.last_sent(1, msg_type::kAccept);
+  ASSERT_NE(acc, nullptr);
+  EXPECT_EQ(AcceptMsg::decode(*acc).instance, 1u);
+  EXPECT_EQ(AcceptMsg::decode(*acc).value, val(9));
 
-  // And a duplicate of that decide must not disturb the queue.
+  // And a duplicate of that decide must not disturb the queue or the
+  // re-proposal.
+  f.rt.clear_sent();
   f.deliver(2, msg_type::kDecide, DecideMsg{0, val(6)}.encode());
+  EXPECT_EQ(f.consensus.pending_count(), 0u);
+  EXPECT_EQ(f.last_sent(1, msg_type::kAccept), nullptr);
+  EXPECT_EQ(f.consensus.acceptor().accepted(1)->value, val(9));
+
+  // Losing leadership hands it back to the queue.
+  f.omega.set(2);
+  f.tick();
   EXPECT_EQ(f.consensus.pending_count(), 1u);
 }
 
@@ -508,6 +522,128 @@ TEST(LogConsensusUnit, AcceptForADecidedInstanceIsAckedButLeavesNoPair) {
   // Below the promise it is refused as before.
   f.deliver(0, msg_type::kAccept, AcceptMsg{0, 0, 0, big(1)}.encode());
   EXPECT_NE(f.last_sent(0, msg_type::kNack), nullptr);
+}
+
+// --- the proposer's slots: members' votes only, one window --------------
+
+/// Round of the leader's Phase 1: ticks, then takes promises from the
+/// followers `from` (self counts too).
+Round make_ready(Fixture& f, std::initializer_list<ProcessId> from) {
+  f.tick();
+  const Round r = f.consensus.current_round();
+  for (ProcessId q : from) {
+    f.deliver(q, msg_type::kPromise, PromiseMsg{r, {}}.encode());
+  }
+  return r;
+}
+
+TEST(LogConsensusUnit, FramesFromOutsideTheClusterCountInNoQuorum) {
+  // Process 7 is not a member of this 3-process cluster (a client's id,
+  // say): its PROMISE, ACCEPTED and DECIDE must count for nothing.
+  Fixture f(/*self=*/0, /*n=*/3, /*leader=*/0);
+  const Round r = make_ready(f, {7});
+  EXPECT_FALSE(f.consensus.is_leader_ready());
+  f.deliver(1, msg_type::kPromise, PromiseMsg{r, {}}.encode());
+  ASSERT_TRUE(f.consensus.is_leader_ready());
+
+  f.consensus.propose(val(5));
+  f.deliver(7, msg_type::kAccepted, AcceptedMsg{r, 0}.encode());
+  EXPECT_FALSE(f.consensus.decision(0).has_value());
+  f.rt.clear_sent();
+  f.deliver(7, msg_type::kDecide, DecideMsg{0, val(8)}.encode());
+  EXPECT_FALSE(f.consensus.decision(0).has_value());
+  EXPECT_TRUE(f.rt.sent().empty());
+
+  // A member's vote completes the quorum.
+  f.deliver(2, msg_type::kAccepted, AcceptedMsg{r, 0}.encode());
+  EXPECT_EQ(f.consensus.decision(0), val(5));
+}
+
+TEST(LogConsensusUnit,
+     HigherRoundAcceptOverAnInFlightInstanceRequeuesTheValue) {
+  Fixture f(/*self=*/0, /*n=*/3, /*leader=*/0);
+  const Round r = make_ready(f, {1});
+  ASSERT_TRUE(f.consensus.is_leader_ready());
+  f.consensus.propose(big(7));  // in flight at instance 0
+  f.consensus.propose(big(9));  // and at instance 1
+  ASSERT_EQ(f.consensus.pending_count(), 0u);
+
+  // Process 1 took over and sends its own value for instance 0 at a
+  // higher round: my pair is overwritten, and both my values are owed
+  // again. The pair of instance 1 stays: it is durable Phase-1 state.
+  f.omega.set(1);
+  const Round higher = next_ballot(1, 3, r);
+  f.rt.clear_sent();
+  f.deliver(1, msg_type::kAccept, AcceptMsg{higher, 0, 0, big(8)}.encode());
+  EXPECT_FALSE(f.consensus.is_leader_ready());
+  EXPECT_NE(f.last_sent(1, msg_type::kAccepted), nullptr);
+  EXPECT_EQ(f.consensus.acceptor().accepted(0)->value, big(8));
+  EXPECT_EQ(f.consensus.acceptor().accepted(1)->value, big(9));
+  EXPECT_EQ(f.consensus.pending_count(), 2u);
+
+  // The next tick forwards them, intact, to the new leader.
+  f.tick();
+  std::vector<Bytes> forwarded;
+  for (const auto& s : f.rt.sent()) {
+    if (s.dst == 1 && s.type == msg_type::kForward) {
+      forwarded.push_back(ForwardMsg::decode(s.payload).value.to_owned());
+    }
+  }
+  EXPECT_EQ(forwarded, (std::vector<Bytes>{big(7), big(9)}));
+}
+
+/// The instances of the ACCEPTs sent to `dst`, in send order.
+std::vector<Instance> accepts_to(const Fixture& f, ProcessId dst) {
+  std::vector<Instance> out;
+  for (const auto& s : f.rt.sent()) {
+    if (s.dst == dst && s.type == msg_type::kAccept) {
+      out.push_back(AcceptMsg::decode(s.payload).instance);
+    }
+  }
+  return out;
+}
+
+TEST(LogConsensusUnit, WindowHoldsFreshValuesAndRefillsOnDecide) {
+  LogConsensusConfig config;
+  config.max_inflight = 2;
+  Fixture f(/*self=*/0, /*n=*/3, /*leader=*/0, config);
+  const Round r = make_ready(f, {1});
+  ASSERT_TRUE(f.consensus.is_leader_ready());
+
+  f.rt.clear_sent();
+  f.consensus.propose(val(1));
+  f.consensus.propose(val(2));
+  f.consensus.propose(val(3));
+  EXPECT_EQ(accepts_to(f, 1), (std::vector<Instance>{0, 1}));
+  EXPECT_EQ(f.consensus.pending_count(), 1u);
+
+  // A decision frees a slot, and the held value goes out at once.
+  f.rt.clear_sent();
+  f.deliver(1, msg_type::kAccepted, AcceptedMsg{r, 0}.encode());
+  EXPECT_EQ(f.consensus.decision(0), val(1));
+  EXPECT_EQ(accepts_to(f, 1), (std::vector<Instance>{2}));
+  EXPECT_EQ(AcceptMsg::decode(*f.last_sent(1, msg_type::kAccept)).value,
+            val(3));
+  EXPECT_EQ(f.consensus.pending_count(), 0u);
+
+  // Values a promise quorum reports are owed at once, window or not: a
+  // new leader with window 2 re-proposes all three, and only a fresh
+  // value waits.
+  Fixture g(/*self=*/1, /*n=*/3, /*leader=*/1, config);
+  g.tick();
+  PromiseMsg promise;
+  promise.round = g.consensus.current_round();
+  for (Instance i = 0; i < 3; ++i) {
+    promise.entries.push_back(PromiseEntry{i, /*accepted_round=*/0, false,
+                                           val(static_cast<std::uint8_t>(i))});
+  }
+  g.rt.clear_sent();
+  g.deliver(0, msg_type::kPromise, promise.encode());
+  ASSERT_TRUE(g.consensus.is_leader_ready());
+  EXPECT_EQ(accepts_to(g, 2), (std::vector<Instance>{0, 1, 2}));
+  g.consensus.propose(val(9));
+  EXPECT_EQ(g.consensus.pending_count(), 1u);
+  EXPECT_EQ(accepts_to(g, 2), (std::vector<Instance>{0, 1, 2}));
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ void usage(const char* argv0) {
       "  --shards=M                 host M consensus groups per replica\n"
       "                             (default 1)\n"
       "  --max-inflight=W           per-group proposer pipeline window\n"
-      "                             (default 0 = unbounded)\n"
+      "                             (default 1024, at least 1)\n"
       "  --no-coalesce              one wire message per client attempt\n"
       "  --lease-reads              leader leases: reads go through the\n"
       "                             read-only fast path (local answers\n"
@@ -178,6 +178,10 @@ bool parse_args(int argc, char** argv, CliOptions* opt) {
   }
   if (opt->load.shards < 1) {
     std::fprintf(stderr, "--shards must be >= 1\n");
+    return false;
+  }
+  if (opt->load.consensus_max_inflight < 1) {
+    std::fprintf(stderr, "--max-inflight must be >= 1\n");
     return false;
   }
   for (int m : opt->shard_sweep) {
